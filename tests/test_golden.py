@@ -1,0 +1,96 @@
+"""Golden replay: stored canonical CLI reports must replay byte for byte.
+
+Each case is an argv whose report, `nodes` included, lives in
+tests/golden/<name>.json.  The corpus is the criterion-12 search corpus plus
+separate, dominate and translate-search requests that find a witness, find
+none, or stop on their node budget.  After a deliberate change to a report,
+regenerate the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and say in the change log which reports moved and why.
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+import sys
+
+import pytest
+
+from ripr.cli import canonical, main
+from test_acceptance import _CORPUS
+
+GOLDEN = pathlib.Path(__file__).with_name("golden")
+
+
+def _search_argv(fam, colslug, bound, strict):
+    argv = ["search", "--family", fam, "--colouring", colslug, "--bound", str(bound)]
+    return argv + (["--distinct-entries", "--distinct-image"] if strict else [])
+
+
+CASES = {"search-%02d" % i: _search_argv(*case) for i, case in enumerate(_CORPUS, 1)}
+CASES.update({
+    "search-budget": ["search", "--family", "f:3", "--colouring", "alpha:2",
+                      "--bound", "50", "--budget", "10"],
+    "separate-witness": ["separate", "--a", "1", "--b", "3,1", "--colouring", "mod:4",
+                         "--prefix", "3", "--bound", "20"],
+    "separate-none": ["separate", "--a", "1", "--b", "2,1", "--colouring",
+                      "notrapid:7:1,2", "--prefix", "2", "--bound", "3000"],
+    "separate-budget": ["separate", "--a", "1", "--b", "2,1", "--colouring",
+                        "notrapid:7:1,2", "--prefix", "2", "--bound", "3000",
+                        "--budget", "2000"],
+    "dominate-witness": ["dominate", "--a-family", "f:4", "--b-family", "fprime:3",
+                         "--x", "1,4,16,64", "--ybound", "85"],
+    "dominate-none": ["dominate", "--a-family", "f:4", "--b-family", "ap:3",
+                      "--x", "1,4,16,64", "--ybound", "85"],
+    "dominate-budget": ["dominate", "--a-family", "f:4", "--b-family", "ap:3",
+                        "--x", "1,4,16,64", "--ybound", "85", "--budget", "500"],
+    "translate-witness": ["translate-search", "--a", "2,1", "--colouring", "mod:3",
+                          "--prefix", "3", "--bbound", "10", "--xbound", "12"],
+    "translate-none": ["translate-search", "--a", "2,1", "--colouring", "digitprofile:5",
+                       "--prefix", "2", "--bbound", "10", "--xbound", "20"],
+    "translate-budget": ["translate-search", "--a", "2,1", "--colouring", "mod:3",
+                         "--prefix", "3", "--bbound", "10", "--xbound", "12",
+                         "--budget", "200"],
+})
+
+
+def _report(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 0, argv
+    return out.getvalue()
+
+
+def _golden(name):
+    return (GOLDEN / (name + ".json")).read_bytes().decode("utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_replay(name):
+    assert _report(CASES[name]) == _golden(name)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if CASES[n][0] in
+                                        ("search", "translate-search")))
+def test_threads_do_not_change_report(name):
+    # --threads is echoed in params and must change nothing else, nodes included
+    for threads in ("2", "8"):
+        rep = json.loads(_report(CASES[name] + ["--threads", threads]))
+        assert rep["params"]["threads"] == int(threads)
+        rep["params"]["threads"] = 1
+        assert canonical(rep) == _golden(name)
+
+
+def test_golden_files_match_cases():
+    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(CASES)
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        (GOLDEN / (name + ".json")).write_bytes(_report(argv).encode("utf-8"))
+    print("wrote %d reports to %s" % (len(CASES), GOLDEN), file=sys.stderr)
