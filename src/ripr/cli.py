@@ -34,8 +34,10 @@ class ExperimentSpec:
 def parse_rational(text):
     t = str(text).strip()
     if "/" in t:
-        num, den = t.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = (int(u) for u in t.split("/", 1))
+        if den == 0:
+            raise ValueError("zero denominator in %r" % t)
+        return Fraction(num, den)
     return int(t)
 
 
@@ -112,6 +114,8 @@ def load_matrix(path):
         obj = json.load(fh)
     if isinstance(obj, list):
         return FiniteMatrix.from_dense(obj)
+    if not isinstance(obj, dict):
+        raise ValueError("matrix file must hold a list of rows or an object")
     if "dense" in obj:
         return FiniteMatrix.from_dense(obj["dense"], obj.get("width"))
     return FiniteMatrix.from_obj(obj)
@@ -152,7 +156,7 @@ def _search_config(params):
         min_entry=params.get("minEntry", 1),
         distinct_entries=params.get("distinctEntries", False),
         distinct_image=params.get("distinctImage", False),
-        node_budget=params.get("budget") or search.node_budget_default(),
+        node_budget=params.get("budget"),
     )
 
 
@@ -403,6 +407,10 @@ def _add_matrix_args(sp, prefix=""):
 def _build_parser():
     ap = argparse.ArgumentParser(prog="ripr", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
+    threads_help = (
+        "accepted for compatibility (at least 1); the search runs in one "
+        "thread and the report differs only in this echoed value"
+    )
 
     g = sub.add_parser("gen", help="generate a matrix family")
     g.add_argument("family", help="family name or full slug (f, fprime, mt, band, ...)")
@@ -444,7 +452,7 @@ def _build_parser():
     s.add_argument("--min-entry", type=int, default=1)
     s.add_argument("--distinct-entries", action="store_true")
     s.add_argument("--distinct-image", action="store_true")
-    s.add_argument("--threads", type=int, default=1)
+    s.add_argument("--threads", type=int, default=1, help=threads_help)
     s.add_argument("--budget", type=int)
 
     f = sub.add_parser("force", help="least n forcing a monochromatic image")
@@ -487,7 +495,7 @@ def _build_parser():
     tr.add_argument("--prefix", type=int, required=True)
     tr.add_argument("--bbound", type=int, required=True)
     tr.add_argument("--xbound", type=int, required=True)
-    tr.add_argument("--threads", type=int, default=1)
+    tr.add_argument("--threads", type=int, default=1, help=threads_help)
     tr.add_argument("--budget", type=int)
 
     df = sub.add_parser("diff", help="compare two reports")

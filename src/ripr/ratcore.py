@@ -152,6 +152,10 @@ class FiniteMatrix:
 
     @classmethod
     def from_obj(cls, obj, **kw):
+        """Inverse of to_obj."""
+        missing = sorted({"width", "rows"} - set(obj))
+        if missing:
+            raise ValueError("matrix object lacks %s" % " and ".join(missing))
         rows = [
             SparseRow((c, Fraction(num, den)) for c, num, den in row)
             for row in obj["rows"]

@@ -1,16 +1,17 @@
 """Exhaustive bounded searches: monochromatic images, forcing bounds,
 separation sweeps, image domination, certificates.
 
-All searches are deterministic.  Parallel variants partition the outermost
-variable into stripes by worker index and share no mutable state; each
-stripe runs with the full node budget, so any run that exhausts returns the
-same answer for every worker count.  A budget hit is reported via
-exhausted=False and withdraws the leastness guarantee on any witness found.
+All searches are deterministic: a fixed request gives the same answer and
+the same node count.  The monochromatic, domination, separation and
+translation searches share one depth-first engine, _backtrack, which tries
+candidate entries in increasing order and counts one node per candidate
+tried; the first complete assignment it yields is therefore the
+lexicographically least.  A budget hit is reported via exhausted=False and
+withdraws the leastness guarantee on any witness found.
 """
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -100,103 +101,85 @@ def _rows_by_depth(A):
     return rows_at
 
 
-def _stripe_mono(A, col, cfg, x0_values):
-    """Least monochromatic witness with x_0 drawn from x0_values, or None.
+def _backtrack(depth, candidates, extend, counter, state, d=0):
+    """Depth-first walk over assignments of depth entries.
 
-    Returns (witness, nodes, exhausted).
+    candidates(d, state) gives the values tried for entry d, in order, and
+    extend(d, v, state) fixes entry d to v and returns the child state, or
+    None to prune.  Yields the state of every complete assignment in
+    lexicographic order.  Each candidate tried counts one node, so _BudgetHit
+    escapes from the generator once the counter runs out.
     """
-    width = A.width
-    rows_at = _rows_by_depth(A)
-    if rows_at[0]:
-        return None, 0, True  # a zero row can never take a positive value
-    counter = _Counter(cfg.node_budget)
-    assignment = [0] * width
-    value_owner = {}  # value -> row key, for the distinct-image check
+    step = counter.step
+    last = d + 1 == depth
+    for v in candidates(d, state):
+        step()
+        child = extend(d, v, state)
+        if child is None:
+            continue
+        if last:
+            yield child
+        else:
+            yield from _backtrack(depth, candidates, extend, counter, child, d + 1)
 
-    def candidates(d):
-        if d == 0:
-            return x0_values
-        return range(cfg.min_entry, cfg.variable_bound + 1)
 
-    def rec(d, common):
-        if d == width:
-            vals = apply(A, assignment)
-            img = image(A, assignment)
-            return SearchWitness(tuple(assignment), img, common)
-        for v in candidates(d):
-            counter.step()
-            if cfg.distinct_entries and v in assignment[:d]:
-                continue
-            assignment[d] = v
-            added = []
-            ok = True
-            cur = common
-            for row, key in rows_at[d + 1]:
-                val = _as_int_value(row.dot(assignment))
-                if val is None:
-                    ok = False
-                    break
-                c = col.colour(val)
-                if cur is None:
-                    cur = c
-                elif c != cur:
-                    ok = False
-                    break
-                if cfg.distinct_image:
-                    owner = value_owner.get(val)
-                    if owner is None:
-                        value_owner[val] = key
-                        added.append(val)
-                    elif owner != key:
-                        ok = False
-                        break
-            if ok:
-                found = rec(d + 1, cur)
-                if found is not None:
-                    return found
-            for val in added:
-                del value_owner[val]
-        return None
-
+def _first_leaf(leaves):
+    """(first leaf or None, whether the search finished within its budget)."""
     try:
-        w = rec(0, None)
-        return w, counter.n, True
+        return next(leaves, None), True
     except _BudgetHit:
-        return None, counter.n, False
+        return None, False
 
 
 def find_monochromatic(A, col, cfg, workers=1):
     """Lexicographically least assignment within bounds whose image is a set
     of positive integers of one colour, or absence.
 
-    With workers > 1 the first variable is striped by residue; outcomes agree
-    with the single-worker run whenever the search exhausts its bounds.
+    workers is kept for compatibility and must be at least 1; the search runs
+    in the calling thread, so the result, nodes and budget never depend on it.
     """
     if not A.rows:
         raise ValueError("matrix has no rows")
     if workers < 1:
         raise ValueError("need at least one worker")
-    lo, hi = cfg.min_entry, cfg.variable_bound
-    stripes = [range(lo + w, hi + 1, workers) for w in range(workers)]
-    stripes = [s for s in stripes if len(s)]
-    if workers == 1 or len(stripes) <= 1:
-        w, nodes, ex = _stripe_mono(A, col, cfg, range(lo, hi + 1))
-        return SearchResult(w, nodes, ex)
-    results = [None] * len(stripes)
+    rows_at = _rows_by_depth(A)
+    if rows_at[0]:
+        return SearchResult(None, 0, True)  # a zero row can never take a positive value
+    span = range(cfg.min_entry, cfg.variable_bound + 1)
+    distinct_entries, distinct_image = cfg.distinct_entries, cfg.distinct_image
+    assignment = [0] * A.width
 
-    def run(i):
-        results[i] = _stripe_mono(A, col, cfg, stripes[i])
+    def extend(d, v, state):
+        # state: (common colour so far or None, value -> key of the row taking it)
+        if distinct_entries and v in assignment[:d]:
+            return None
+        assignment[d] = v
+        common, owner = state
+        for row, key in rows_at[d + 1]:
+            val = _as_int_value(row.dot(assignment))
+            if val is None:
+                return None
+            c = col.colour(val)
+            if common is None:
+                common = c
+            elif c != common:
+                return None
+            if distinct_image:
+                seen = owner.get(val)
+                if seen is None:
+                    owner = {**owner, val: key}  # siblings keep the parent's map
+                elif seen != key:
+                    return None
+        return common, owner
 
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(stripes))]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    witnesses = [r[0] for r in results if r[0] is not None]
-    nodes = sum(r[1] for r in results)
-    exhausted = all(r[2] for r in results)
-    best = min(witnesses, key=lambda w: w.assignment) if witnesses else None
-    return SearchResult(best, nodes, exhausted)
+    counter = _Counter(cfg.node_budget)
+    leaf, exhausted = _first_leaf(
+        _backtrack(A.width, lambda d, state: span, extend, counter, (None, {}))
+    )
+    if leaf is None:
+        return SearchResult(None, counter.n, exhausted)
+    witness = SearchWitness(tuple(assignment), image(A, assignment), leaf[0])
+    return SearchResult(witness, counter.n, True)
 
 
 @dataclass(frozen=True)
@@ -298,32 +281,25 @@ def find_dominated_assignment(A, B, x, y_bound, node_budget=None):
     if rows_at[0]:
         return SearchResult(None, 0, True)
     budget = node_budget if node_budget is not None else node_budget_default()
-    counter = _Counter(budget)
+    span = range(1, y_bound + 1)
     assignment = [0] * B.width
 
-    def rec(d):
-        if d == B.width:
-            return SearchWitness(tuple(assignment), image(B, assignment), None)
-        for v in range(1, y_bound + 1):
-            counter.step()
-            assignment[d] = v
-            ok = True
-            for row, _ in rows_at[d + 1]:
-                val = _as_int_value(row.dot(assignment))
-                if val is None or val not in target:
-                    ok = False
-                    break
-            if ok:
-                found = rec(d + 1)
-                if found is not None:
-                    return found
-        return None
+    def extend(d, v, state):
+        assignment[d] = v
+        for row, _ in rows_at[d + 1]:
+            val = _as_int_value(row.dot(assignment))
+            if val is None or val not in target:
+                return None
+        return state
 
-    try:
-        w = rec(0)
-        return SearchResult(w, counter.n, True)
-    except _BudgetHit:
-        return SearchResult(None, counter.n, False)
+    counter = _Counter(budget)
+    leaf, exhausted = _first_leaf(
+        _backtrack(B.width, lambda d, state: span, extend, counter, True)
+    )
+    if leaf is None:
+        return SearchResult(None, counter.n, exhausted)
+    witness = SearchWitness(tuple(assignment), image(B, assignment), None)
+    return SearchResult(witness, counter.n, True)
 
 
 @dataclass(frozen=True)
@@ -363,7 +339,9 @@ def certify_ipr(A, B, C):
 
 def is_rapid(x, p):
     """Growth check: whenever p^s <= x_i, the next term is divisible by
-    p^(s+8)."""
+    p^(s+8).  Needs p >= 2."""
+    if p < 2:
+        raise ValueError("the growth base p must be at least 2")
     x = tuple(x)
     if any(not isinstance(v, int) or v < 1 for v in x):
         raise ValueError("need positive integers")
@@ -378,9 +356,11 @@ def is_rapid(x, p):
 
 def make_rapid(p, seeds):
     """Scale each seed to the least multiple satisfying the growth check
-    against the previous output term."""
+    against the previous output term.  Needs p >= 2."""
+    if p < 2:
+        raise ValueError("the growth base p must be at least 2")
     seeds = tuple(seeds)
-    if any(not isinstance(v, int) or v < 1 for v in seeds):
+    if not seeds or any(not isinstance(v, int) or v < 1 for v in seeds):
         raise ValueError("need positive integer seeds")
     out = [seeds[0]]
     for seed in seeds[1:]:
@@ -443,46 +423,37 @@ def _mono_prefixes(col, a, length, bound, counter, classes_cache, pinned=None):
         return  # image would be empty
     by_top = _mt_templates(length, len(a) - 1)
     singles = a.terms == (1,)
+    span = range(1, bound + 1)
     prefix = [0] * length
 
-    def candidates(d, common):
-        want = common if common is not None else pinned
-        if singles and want is not None:
-            classes = _colour_classes(col, bound, classes_cache)
-            return classes.get(want, ())
-        return range(1, bound + 1)
+    def candidates(d, state):
+        # with a = <1> each entry is a value, so only the common colour's class can follow
+        if singles and state[0] is not None:
+            return _colour_classes(col, bound, classes_cache).get(state[0], ())
+        return span
 
-    def rec(d, common):
-        for v in candidates(d, common):
-            counter.step()
-            if v in prefix[:d]:
-                continue
-            prefix[d] = v
-            cur = common
-            ok = True
-            for tup in by_top[d]:
-                val = _seq_value(a, prefix, tup)
-                if val < 1:
-                    ok = False
-                    break
-                c = col.colour(val)
-                if cur is None:
-                    if col.is_reserved(c) or (pinned is not None and c != pinned):
-                        ok = False
-                        break
-                    cur = c
-                elif c != cur:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if d + 1 == length:
-                if cur is not None:
-                    yield tuple(prefix), cur
-            else:
-                yield from rec(d + 1, cur)
+    def extend(d, v, state):
+        # state: (common colour so far or None,); a pinned search starts with its colour
+        if v in prefix[:d]:
+            return None
+        prefix[d] = v
+        cur = state[0]
+        for tup in by_top[d]:
+            val = _seq_value(a, prefix, tup)
+            if val < 1:
+                return None
+            c = col.colour(val)
+            if cur is None:
+                if col.is_reserved(c):
+                    return None
+                cur = c
+            elif c != cur:
+                return None
+        return (cur,)
 
-    yield from rec(0, pinned)
+    # length >= len(a), so every complete prefix has a nonempty image and a colour
+    for (colour,) in _backtrack(length, candidates, extend, counter, (pinned,)):
+        yield tuple(prefix), colour
 
 
 @dataclass(frozen=True)
@@ -532,59 +503,6 @@ class TranslateResult:
     exhausted: bool
 
 
-def _stripe_translate(col, a, prefix_len, b_values, x_bound, budget):
-    a = coeff_seq(a)
-    by_top = _mt_templates(prefix_len, len(a) - 1)
-    counter = _Counter(budget)
-    prefix = [0] * prefix_len
-
-    def rec(b, d, common):
-        for v in range(1, x_bound + 1):
-            counter.step()
-            if v in prefix[:d]:
-                continue
-            prefix[d] = v
-            cur = common
-            ok = True
-            # finite sums gaining v: v alone and v on top of earlier sums
-            new_sums = [v] + [s + v for s in _fs_prefix(prefix, d)]
-            for s in new_sums:
-                c = col.colour(s)
-                if cur is None:
-                    cur = c
-                elif c != cur:
-                    ok = False
-                    break
-            if ok:
-                for tup in by_top[d]:
-                    val = b + _seq_value(a, prefix, tup)
-                    if val < 1:
-                        ok = False
-                        break
-                    if col.colour(val) != cur:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            if d + 1 == prefix_len:
-                return (b, tuple(prefix), cur)
-            found = rec(b, d + 1, cur)
-            if found is not None:
-                return found
-        return None
-
-    best = None
-    try:
-        for b in b_values:
-            found = rec(b, 0, None)
-            if found is not None:
-                best = found
-                break
-        return best, counter.n, True
-    except _BudgetHit:
-        return best, counter.n, False
-
-
 def _fs_prefix(prefix, d):
     """All finite sums of prefix[:d]; d is small here."""
     sums = []
@@ -597,8 +515,9 @@ def translate_witness(col, a, prefix_len, b_bound, x_bound, node_budget=None, wo
     """Least (b, x) such that the finite sums of x together with b plus every
     a-system value of x are all positive and one colour.
 
-    x has prefix_len distinct entries in [1, x_bound]; b ranges in
-    [1, b_bound] and is striped across workers.
+    x has prefix_len distinct entries in [1, x_bound] and b ranges in
+    [1, b_bound], b varying slowest.  workers is kept for compatibility and
+    must be at least 1; the result, nodes and budget never depend on it.
     """
     a = coeff_seq(a)
     if prefix_len < len(a):
@@ -606,24 +525,37 @@ def translate_witness(col, a, prefix_len, b_bound, x_bound, node_budget=None, wo
     if workers < 1:
         raise ValueError("need at least one worker")
     budget = node_budget if node_budget is not None else node_budget_default()
-    stripes = [range(1 + w, b_bound + 1, workers) for w in range(workers)]
-    stripes = [s for s in stripes if len(s)]
-    results = []
-    if len(stripes) <= 1:
-        results = [_stripe_translate(col, a, prefix_len, range(1, b_bound + 1), x_bound, budget)]
-    else:
-        results = [None] * len(stripes)
+    by_top = _mt_templates(prefix_len, len(a) - 1)
+    span = range(1, x_bound + 1)
+    prefix = [0] * prefix_len
 
-        def run(i):
-            results[i] = _stripe_translate(col, a, prefix_len, stripes[i], x_bound, budget)
+    def extend(d, v, state):
+        # state: (b, common colour so far or None)
+        if v in prefix[:d]:
+            return None
+        prefix[d] = v
+        b, cur = state
+        # finite sums gaining v: v alone and v on top of earlier sums
+        new_sums = [v] + [s + v for s in _fs_prefix(prefix, d)]
+        for s in new_sums:
+            c = col.colour(s)
+            if cur is None:
+                cur = c
+            elif c != cur:
+                return None
+        for tup in by_top[d]:
+            val = b + _seq_value(a, prefix, tup)
+            if val < 1 or col.colour(val) != cur:
+                return None
+        return b, cur
 
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(stripes))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-    witnesses = [r[0] for r in results if r[0] is not None]
-    nodes = sum(r[1] for r in results)
-    exhausted = all(r[2] for r in results)
-    best = min(witnesses) if witnesses else None
-    return TranslateResult(best, nodes, exhausted)
+    counter = _Counter(budget)
+    for b in range(1, b_bound + 1):
+        leaf, exhausted = _first_leaf(
+            _backtrack(prefix_len, lambda d, state: span, extend, counter, (b, None))
+        )
+        if leaf is not None:
+            return TranslateResult((b, tuple(prefix), leaf[1]), counter.n, True)
+        if not exhausted:
+            return TranslateResult(None, counter.n, False)
+    return TranslateResult(None, counter.n, True)

@@ -206,6 +206,35 @@ def test_main_usage_errors(capsys):
     assert code == 2  # no family and no file
 
 
+def test_main_bad_inputs_exit_2_with_one_error_line(tmp_path, capsys):
+    no_rows = tmp_path / "no_rows.json"
+    no_rows.write_text(json.dumps({"width": 2}))
+    scalar = tmp_path / "scalar.json"
+    scalar.write_text("5")
+    for argv in (
+        ["image", "--family", "f:2", "--x", "1/0"],
+        ["image", "--matrix-file", str(no_rows), "--x", "1,2"],
+        ["image", "--matrix-file", str(scalar), "--x", "1,2"],
+        ["rapid", "--p", "1", "--x", "3,5"],
+        ["rapid", "--p", "0", "--make", "--seeds", "3,5"],
+        ["rapid", "--p", "2", "--make", "--seeds", ","],
+    ):
+        code, out, err = _capture(capsys, argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+def test_main_search_budget_zero_means_zero(capsys):
+    code, out, _ = _capture(
+        capsys,
+        ["search", "--family", "schur", "--colouring", "mod:2", "--bound", "10",
+         "--budget", "0"],
+    )
+    rep = json.loads(out)
+    assert code == 0
+    assert (rep["outcome"], rep["nodes"], rep["exhausted"]) == ("budget", 1, False)
+
+
 def test_main_budget_exit(capsys):
     code, _, err = _capture(
         capsys,

@@ -4,7 +4,12 @@ from itertools import product
 
 import pytest
 
-from ripr.colourings import mod_colouring, negabase_gap_colouring, ratio_colouring
+from ripr.colourings import (
+    digit_profile_colouring,
+    mod_colouring,
+    negabase_gap_colouring,
+    ratio_colouring,
+)
 from ripr.matgen import (
     arithmetic_progression_matrix,
     deuber_matrix,
@@ -28,6 +33,7 @@ from ripr.search import (
     refute_nonconstant,
     translate_witness,
 )
+from ripr.seqs import fs_image, mt_image, translated_mt_image
 
 
 def _brute_least(A, col, cfg):
@@ -110,6 +116,7 @@ def test_search_matches_brute_oracle():
 
 
 def test_search_worker_counts_agree():
+    # workers must not change the witness, nodes, exhaustion or the budget
     col = mod_colouring(3)
     cfg = SearchConfig(12)
     base = find_monochromatic(finite_sums_matrix(3), col, cfg, workers=1)
@@ -117,6 +124,116 @@ def test_search_worker_counts_agree():
         other = find_monochromatic(finite_sums_matrix(3), col, cfg, workers=w)
         assert other.witness.assignment == base.witness.assignment
         assert other.exhausted == base.exhausted
+    f4 = finite_sums_matrix(4)
+    for budget, nodes in ((None, 132), (10, 11)):
+        cfg = SearchConfig(60, node_budget=budget)
+        base = find_monochromatic(f4, col, cfg)
+        assert base.nodes == nodes
+        for w in (2, 8):
+            assert find_monochromatic(f4, col, cfg, workers=w) == base
+        base = translate_witness(col, (2, 1), 3, 10, 12, node_budget=budget)
+        for w in (2, 8):
+            assert translate_witness(col, (2, 1), 3, 10, 12, budget, w) == base
+
+
+def _mono_colour(col, values):
+    """Common colour of a nonempty set of positive integers, or None."""
+    values = list(values)
+    if not values or any(v < 1 for v in values):
+        return None
+    colours = {col.colour(v) for v in values}
+    return colours.pop() if len(colours) == 1 else None
+
+
+def _distinct_prefixes(length, bound):
+    return [x for x in product(range(1, bound + 1), repeat=length) if len(set(x)) == length]
+
+
+def _brute_dominated(A, B, x, y_bound):
+    target = set(apply(A, x))
+    for y in product(range(1, y_bound + 1), repeat=B.width):
+        if all(v in target for v in apply(B, y)):
+            return y
+    return None
+
+
+def _brute_separation(col, a, b, length, bound):
+    prefixes = _distinct_prefixes(length, bound)
+    ys = [(y, _mono_colour(col, mt_image(b, y))) for y in prefixes]
+    for x in prefixes:
+        c = _mono_colour(col, mt_image(a, x))
+        if c is None or col.is_reserved(c):
+            continue
+        for y, cy in ys:
+            if cy == c:
+                return {"x": x, "y": y, "colour": c}
+    return None
+
+
+def _brute_translate(col, a, length, b_bound, x_bound):
+    prefixes = _distinct_prefixes(length, x_bound)
+    for b in range(1, b_bound + 1):
+        for x in prefixes:
+            c = _mono_colour(col, list(fs_image(x)) + list(translated_mt_image(b, a, x)))
+            if c is not None:
+                return (b, x, c)
+    return None
+
+
+def test_dominated_assignment_matches_brute_oracle():
+    rng = random.Random(42)
+    found = trials = 0
+    while trials < 60:
+        wa, wb = rng.randint(1, 3), rng.randint(1, 3)
+        dense = [[rng.randint(-1, 2) for _ in range(wb)] for _ in range(rng.randint(1, 3))]
+        B = FiniteMatrix.from_dense(dense, wb, allow_duplicate_rows=True)
+        A = finite_sums_matrix(wa)
+        x = tuple(rng.randint(1, 6) for _ in range(wa))
+        y_bound = rng.randint(1, 6)
+        res = find_dominated_assignment(A, B, x, y_bound)
+        got = res.witness.assignment if res.witness else None
+        assert got == _brute_dominated(A, B, x, y_bound), (dense, x, y_bound)
+        assert res.exhausted
+        found += got is not None
+        trials += 1
+    assert 0 < found < trials
+
+
+def test_separation_matches_brute_oracle():
+    rng = random.Random(42)
+    cols = [mod_colouring(2), mod_colouring(3), ratio_colouring(2),
+            negabase_gap_colouring(7, (1, 2))]
+    seqs = [(1,), (2,), (2, 1), (1, 2), (3, 1), (1, -1), (1, 2, 1)]
+    outcomes = []
+    while len(outcomes) < 40:
+        col = rng.choice(cols)
+        a, b = rng.sample(seqs, 2)
+        length, bound = rng.randint(1, 3), rng.randint(1, 8)
+        rep = check_separation(col, a, b, length, bound)
+        if rep.outcome == "proportional":
+            continue
+        want = _brute_separation(col, a, b, length, bound)
+        assert rep.witness == want, (col, a, b, length, bound)
+        assert rep.outcome == ("witness" if want else "none-within-bounds")
+        outcomes.append(rep.outcome)
+    assert set(outcomes) == {"witness", "none-within-bounds"}
+
+
+def test_translate_matches_brute_oracle():
+    rng = random.Random(42)
+    cols = [mod_colouring(2), mod_colouring(3), ratio_colouring(2), digit_profile_colouring(5)]
+    seqs = [(1,), (2, 1), (1, 2), (3, 1), (1, -1)]
+    found = 0
+    for _ in range(40):
+        col, a = rng.choice(cols), rng.choice(seqs)
+        length = rng.randint(len(a), 3)
+        b_bound, x_bound = rng.randint(1, 5), rng.randint(1, 7)
+        res = translate_witness(col, a, length, b_bound, x_bound)
+        assert res.witness == _brute_translate(col, a, length, b_bound, x_bound), (
+            col, a, length, b_bound, x_bound)
+        assert res.exhausted
+        found += res.witness is not None
+    assert 0 < found < 40
 
 
 def test_search_budget_hit():
@@ -256,6 +373,17 @@ def test_rapid_checks():
     assert is_rapid((1, 256, 2**16 * 3), 2)
     with pytest.raises(ValueError):
         is_rapid((0, 2), 2)
+
+
+def test_rapid_needs_base_two():
+    # p < 2 used to loop forever computing the exponent of p below x_i
+    for p in (1, 0, -2):
+        with pytest.raises(ValueError):
+            is_rapid((3, 5), p)
+        with pytest.raises(ValueError):
+            make_rapid(p, (3, 5))
+    with pytest.raises(ValueError):
+        make_rapid(2, ())
 
 
 def test_make_rapid():
