@@ -112,13 +112,16 @@ def parse_family(slug):
 def load_matrix(path):
     with open(path) as fh:
         obj = json.load(fh)
-    if isinstance(obj, list):
-        return FiniteMatrix.from_dense(obj)
-    if not isinstance(obj, dict):
+    if not isinstance(obj, (list, dict)):
         raise ValueError("matrix file must hold a list of rows or an object")
-    if "dense" in obj:
-        return FiniteMatrix.from_dense(obj["dense"], obj.get("width"))
-    return FiniteMatrix.from_obj(obj)
+    try:
+        if isinstance(obj, list):
+            return FiniteMatrix.from_dense(obj)
+        if "dense" in obj:
+            return FiniteMatrix.from_dense(obj["dense"], obj.get("width"))
+        return FiniteMatrix.from_obj(obj)
+    except (TypeError, ZeroDivisionError) as e:  # a float entry, a scalar row, a zero denominator
+        raise ValueError("malformed matrix in %s: %s" % (path, e))
 
 
 def _matrix_from(params, family_key="family", file_key="matrixFile"):
@@ -367,6 +370,8 @@ def report_diff(left, right):
     Raises on schema version mismatch; two reports from different schema
     generations are not comparable.
     """
+    if not isinstance(left, dict) or not isinstance(right, dict):
+        raise ValueError("reports must be JSON objects")
     if left.get("schemaVersion") != right.get("schemaVersion"):
         raise ValueError(
             "schema mismatch: %r vs %r"

@@ -8,7 +8,7 @@ ever observes finitely many colours, so nothing is gained by numbering them.
 
 from fractions import Fraction
 
-from .digits import base_digits, gap_counts, least_significant_digit, top_digits
+from .digits import base_digits, gap_tally, negabase_digits
 
 
 class Colouring:
@@ -24,7 +24,8 @@ class Colouring:
         self._memo = {} if memoize else None
 
     def colour(self, x):
-        if isinstance(x, bool) or not isinstance(x, int):
+        # plain ints skip both isinstance checks: searches call this per candidate
+        if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
             raise TypeError("colourings are defined on positive integers")
         if x < 1:
             raise ValueError("colourings are defined on positive integers")
@@ -200,6 +201,9 @@ def negabase_gap_colouring(p, coeffs):
     its four top negabase digits, its least significant digit, and the mod-p
     gap counts of a*x for every coefficient a and every gap pattern (recorded
     sparsely: patterns with residue 0 are omitted).
+
+    One pass: each a*x is expanded once, and when 1 is a coefficient its
+    expansion of x also gives the top digits and the least significant digit.
     """
     if not _is_prime(p):
         raise ValueError("base must be prime")
@@ -221,15 +225,22 @@ def negabase_gap_colouring(p, coeffs):
     def fn(x):
         if x <= cutoff:
             return ("small",)
-        lead = top_digits(x, p)
-        low = least_significant_digit(x, p)
+        own = None
         finger = []
         for a in seen:
-            for pat, count in gap_counts(a * x, p).items():
+            e = negabase_digits(a * x, p)
+            if a == 1:
+                own = e
+            for pat, count in gap_tally(e).items():
                 r = count % p
                 if r:
-                    finger.append(((a, (pat.upper,) + pat.lower), r))
-        return ("big", lead, low, tuple(sorted(finger)))
+                    finger.append(((a, pat), r))
+        if own is None:
+            own = negabase_digits(x, p)
+        # x > p^4 puts the max support of x at 4 or above, so four top digits exist
+        d = own.digits
+        lead = (d[-1], d[-2], d[-3], d[-4])
+        return ("big", lead, d[own.min_support()], tuple(sorted(finger)))
 
     return Colouring(
         "notrapid",

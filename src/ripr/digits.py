@@ -26,24 +26,31 @@ class DigitExpansion:
         return tuple(i for i, d in enumerate(self.digits) if d != 0)
 
     def min_support(self):
-        s = self.support()
-        if not s:
-            raise ValueError("zero has empty support")
-        return s[0]
+        for i, d in enumerate(self.digits):
+            if d:
+                return i
+        raise ValueError("zero has empty support")
 
     def max_support(self):
-        s = self.support()
-        if not s:
-            raise ValueError("zero has empty support")
-        return s[-1]
+        digits = self.digits
+        for i in range(len(digits) - 1, -1, -1):
+            if digits[i]:
+                return i
+        raise ValueError("zero has empty support")
 
     def value(self):
-        return sum(d * self.base**i for i, d in enumerate(self.digits))
+        v = 0
+        for d in reversed(self.digits):
+            v = v * self.base + d
+        return v
+
+
+_BASE_ERROR = "base parameter must be an integer >= 2"
 
 
 def _check_base(p):
     if not isinstance(p, int) or p < 2:
-        raise ValueError("base parameter must be an integer >= 2")
+        raise ValueError(_BASE_ERROR)
 
 
 def base_digits(x, p):
@@ -64,14 +71,16 @@ def negabase_digits(x, p):
     Repeatedly divide keeping the remainder non-negative:
     x = q*(-p) + d with d in {0..p-1}, then continue on q.
     """
-    _check_base(p)
+    if not isinstance(p, int) or p < 2:  # _check_base inlined: this runs per colour evaluation
+        raise ValueError(_BASE_ERROR)
     if not isinstance(x, int) or x == 0:
         raise ValueError("negabase_digits wants a nonzero integer")
     out = []
+    append = out.append
     while x:
         d = x % p
-        out.append(d)
-        x = -((x - d) // p)
+        append(d)
+        x = (d - x) // p
     return DigitExpansion(-p, tuple(out))
 
 
@@ -83,7 +92,8 @@ def negabase_range_check(x, p, s):
     odd s admits x in [(-p^(s+2) + p)/(p + 1), (-p^s - 1)/(p + 1)].
     Comparisons are exact (cross-multiplied), no division.
     """
-    _check_base(p)
+    if not isinstance(p, int) or p < 2:  # _check_base inlined, as in negabase_digits
+        raise ValueError(_BASE_ERROR)
     if s < 0:
         raise ValueError("support position must be >= 0")
     lhs = x * (p + 1)
@@ -145,14 +155,17 @@ class GapPattern:
             raise ValueError("pattern digits must be below the base %d" % p)
 
 
-def _gap_sites(e):
+def _gap_sites(digits):
     """(s, t) pairs of consecutive support positions with s even, s >= 4 and
-    at least three zeros strictly between."""
-    supp = e.support()
+    at least three zeros strictly between.  Positions below 4 can be neither
+    end of a site, so the scan starts at 4."""
     out = []
-    for s, t in zip(supp, supp[1:]):
-        if s % 2 == 0 and s >= 4 and t > s + 3:
-            out.append((s, t))
+    s = -1  # last support position seen; -1 is odd, so no site before the first
+    for t in range(4, len(digits)):
+        if digits[t]:
+            if s % 2 == 0 and t > s + 3:
+                out.append((s, t))
+            s = t
     return out
 
 
@@ -162,17 +175,13 @@ def find_gaps(x, p, pattern):
     strictly between s and t."""
     _check_base(p)
     pattern.check_base(p)
-    e = negabase_digits(x, p)
-    hits = set()
-    for s, t in _gap_sites(e):
-        if e.digit(t) == pattern.upper and (
-            e.digit(s),
-            e.digit(s - 1),
-            e.digit(s - 2),
-            e.digit(s - 3),
-        ) == pattern.lower:
-            hits.add((s, t))
-    return hits
+    digits = negabase_digits(x, p).digits
+    return {
+        (s, t)
+        for s, t in _gap_sites(digits)
+        if digits[t] == pattern.upper
+        and (digits[s], digits[s - 1], digits[s - 2], digits[s - 3]) == pattern.lower
+    }
 
 
 def gap_residue(x, p, pattern):
@@ -180,15 +189,24 @@ def gap_residue(x, p, pattern):
     return len(find_gaps(x, p, pattern)) % p
 
 
+def gap_tally(e):
+    """Gap sites of an expansion counted by pattern, as a dict from the
+    pattern's five digits (upper, then the lower block top first) to its
+    site count, in order of first occurrence."""
+    digits = e.digits
+    counts = {}
+    for s, t in _gap_sites(digits):
+        key = (digits[t], digits[s], digits[s - 1], digits[s - 2], digits[s - 3])
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def gap_counts(x, p):
     """Every pattern occurring in x with its site count, as a dict.
 
     One pass over the support; equivalent to find_gaps over all patterns.
     """
-    _check_base(p)
-    e = negabase_digits(x, p)
-    counts = {}
-    for s, t in _gap_sites(e):
-        pat = GapPattern(e.digit(t), (e.digit(s), e.digit(s - 1), e.digit(s - 2), e.digit(s - 3)))
-        counts[pat] = counts.get(pat, 0) + 1
-    return counts
+    return {
+        GapPattern(key[0], key[1:]): count
+        for key, count in gap_tally(negabase_digits(x, p)).items()
+    }

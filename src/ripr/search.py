@@ -8,6 +8,15 @@ candidate entries in increasing order and counts one node per candidate
 tried; the first complete assignment it yields is therefore the
 lexicographically least.  A budget hit is reported via exhausted=False and
 withdraws the leastness guarantee on any witness found.
+
+Each of these searches compiles its values once, before the walk, as exact
+coefficient rows (matrix rows, MT block tuples or FS subsets) bucketed by top
+column, the last entry a row reads; see _compile_rows.  Entering a node at
+depth d (the engine asks for its candidates once per node) fixes the partial
+sum of every row whose top column is d, so each candidate v then costs one
+multiply-add per row.  Rows stay on plain ints:
+a row with a non-integral coefficient is scaled to integers and its value
+is kept only when the division by the scale is exact.
 """
 
 import math
@@ -92,13 +101,61 @@ def _as_int_value(v):
     return v if v >= 1 else None
 
 
-def _rows_by_depth(A):
-    """rows_at[d] lists (row, key) pairs fully determined once d entries are
-    assigned, i.e. rows whose support lies in the first d columns."""
-    rows_at = [[] for _ in range(A.width + 1)]
-    for r in A.rows:
-        rows_at[(r.max_column() + 1) if r else 0].append((r, r.key()))
-    return rows_at
+def _compile_rows(rows, width):
+    """Bucket exact value rows by their top column, the last entry they read.
+
+    rows yields (coeffs, tag) pairs: coeffs maps entry positions to nonzero
+    int or Fraction coefficients (a matrix row, an MT block tuple or an FS
+    subset), and tag is handed back with the row.  by_top[d] lists, in input
+    order, (lower, top, den, tag) for every row whose top column is d.  The
+    row is scaled by den, the least common denominator of its coefficients,
+    so the row's value at x is (lower . x + top * x[d]) / den with lower the
+    (column, integer coefficient) pairs below d and top an integer too.
+    """
+    by_top = [[] for _ in range(width)]
+    for coeffs, tag in rows:
+        den = math.lcm(*(c.denominator for c in coeffs.values() if isinstance(c, Fraction)))
+        d = max(coeffs)
+        lower = tuple((j, int(coeffs[j] * den)) for j in sorted(coeffs) if j != d)
+        by_top[d].append((lower, int(coeffs[d] * den), den, tag))
+    return by_top
+
+
+def _node_rows(rows, x, shift=0):
+    """Fix the part of each row of one depth that the earlier entries set.
+
+    Returns (base, top, den, tag) per row, with base the scaled partial sum
+    over the columns below the top plus shift; entry v at the top column
+    then gives the value (base + top * v) / den.
+    """
+    return [
+        (shift * den + sum(c * x[j] for j, c in lower), top, den, tag)
+        for lower, top, den, tag in rows
+    ]
+
+
+def _mt_rows(a, length):
+    """Compiled rows of the a-system over entry prefixes of the given length,
+    one per block tuple."""
+    return _compile_rows(
+        (({t: a[i] for i, f in enumerate(tup) for t in f}, None)
+         for tup in block_tuples(length, len(a) - 1)),
+        length,
+    )
+
+
+def _fs_rows(length):
+    """Compiled finite-sums rows over entry prefixes of the given length.
+
+    The rows ending at d are {d}, then each subset of the earlier entries in
+    the order in which adding one entry at a time first builds it, plus d.
+    """
+    subsets = []  # every nonempty subset of range(d), in that order
+    rows = []
+    for d in range(length):
+        rows += [({t: 1 for t in f + (d,)}, None) for f in [()] + subsets]
+        subsets += [f + (d,) for f in subsets] + [(d,)]
+    return _compile_rows(rows, length)
 
 
 def _backtrack(depth, candidates, extend, counter, state, d=0):
@@ -142,12 +199,18 @@ def find_monochromatic(A, col, cfg, workers=1):
         raise ValueError("matrix has no rows")
     if workers < 1:
         raise ValueError("need at least one worker")
-    rows_at = _rows_by_depth(A)
-    if rows_at[0]:
+    if not all(A.rows):
         return SearchResult(None, 0, True)  # a zero row can never take a positive value
+    by_top = _compile_rows(((r, r.key()) for r in A.rows), A.width)
     span = range(cfg.min_entry, cfg.variable_bound + 1)
     distinct_entries, distinct_image = cfg.distinct_entries, cfg.distinct_image
+    colour_of = col.colour
     assignment = [0] * A.width
+    rows_now = [None] * A.width  # rows_now[d]: the rows ending at d, at the current node
+
+    def candidates(d, state):
+        rows_now[d] = _node_rows(by_top[d], assignment)
+        return span
 
     def extend(d, v, state):
         # state: (common colour so far or None, value -> key of the row taking it)
@@ -155,11 +218,15 @@ def find_monochromatic(A, col, cfg, workers=1):
             return None
         assignment[d] = v
         common, owner = state
-        for row, key in rows_at[d + 1]:
-            val = _as_int_value(row.dot(assignment))
-            if val is None:
+        for base, top, den, key in rows_now[d]:
+            val = base + top * v
+            if den != 1:
+                val, rem = divmod(val, den)
+                if rem:
+                    return None
+            if val < 1:
                 return None
-            c = col.colour(val)
+            c = colour_of(val)
             if common is None:
                 common = c
             elif c != common:
@@ -174,7 +241,7 @@ def find_monochromatic(A, col, cfg, workers=1):
 
     counter = _Counter(cfg.node_budget)
     leaf, exhausted = _first_leaf(
-        _backtrack(A.width, lambda d, state: span, extend, counter, (None, {}))
+        _backtrack(A.width, candidates, extend, counter, (None, {}))
     )
     if leaf is None:
         return SearchResult(None, counter.n, exhausted)
@@ -237,6 +304,8 @@ def forcing_bound(A, colours, n_max, node_budget=None):
     """
     if colours < 1:
         raise ValueError("need at least one colour")
+    if not A.rows:
+        raise ValueError("matrix has no rows")
     budget = node_budget if node_budget is not None else node_budget_default()
     nodes = 0
     cert = ()
@@ -277,24 +346,33 @@ def find_dominated_assignment(A, B, x, y_bound, node_budget=None):
     target = frozenset(target_vals)
     if not B.rows:
         raise ValueError("probe matrix has no rows")
-    rows_at = _rows_by_depth(B)
-    if rows_at[0]:
+    if not all(B.rows):
         return SearchResult(None, 0, True)
+    by_top = _compile_rows(((r, None) for r in B.rows), B.width)
     budget = node_budget if node_budget is not None else node_budget_default()
     span = range(1, y_bound + 1)
     assignment = [0] * B.width
+    rows_now = [None] * B.width
+
+    def candidates(d, state):
+        rows_now[d] = _node_rows(by_top[d], assignment)
+        return span
 
     def extend(d, v, state):
         assignment[d] = v
-        for row, _ in rows_at[d + 1]:
-            val = _as_int_value(row.dot(assignment))
-            if val is None or val not in target:
+        for base, top, den, _ in rows_now[d]:
+            val = base + top * v
+            if den != 1:
+                val, rem = divmod(val, den)
+                if rem:
+                    return None
+            if val not in target:  # the target holds positive integers only
                 return None
         return state
 
     counter = _Counter(budget)
     leaf, exhausted = _first_leaf(
-        _backtrack(B.width, lambda d, state: span, extend, counter, True)
+        _backtrack(B.width, candidates, extend, counter, True)
     )
     if leaf is None:
         return SearchResult(None, counter.n, exhausted)
@@ -390,18 +468,6 @@ def refute_nonconstant(c, x):
     return SparseRow({m: c + r, n: -r})
 
 
-def _mt_templates(length, k):
-    """Block tuples over a prefix, bucketed by their top index."""
-    by_top = [[] for _ in range(length)]
-    for tup in block_tuples(length, k):
-        by_top[tup[-1][-1]].append(tup)
-    return by_top
-
-
-def _seq_value(a, prefix, tup):
-    return sum(a[i] * sum(prefix[t] for t in f) for i, f in enumerate(tup))
-
-
 def _colour_classes(col, bound, cache):
     """colour -> sorted members of [1, bound]; built once per search."""
     if cache:
@@ -413,20 +479,21 @@ def _colour_classes(col, bound, cache):
     return cache
 
 
-def _mono_prefixes(col, a, length, bound, counter, classes_cache, pinned=None):
-    """Yield (prefix, colour) for every distinct-entry prefix of the given
-    length whose system image is nonempty, consists of positive integers and
-    is monochromatic in a non-reserved colour (the pinned colour if given).
-    Lexicographic order."""
-    a = coeff_seq(a)
-    if length < len(a):
-        return  # image would be empty
-    by_top = _mt_templates(length, len(a) - 1)
+def _mono_prefixes(col, a, by_top, bound, counter, classes_cache, pinned=None):
+    """Yield (prefix, colour) for every distinct-entry prefix whose system
+    image consists of positive integers and is monochromatic in a
+    non-reserved colour (the pinned colour if given).  by_top holds the
+    compiled rows of the a-system, whose image is nonempty at this prefix
+    length.  Lexicographic order."""
+    length = len(by_top)
     singles = a.terms == (1,)
     span = range(1, bound + 1)
+    colour_of = col.colour
     prefix = [0] * length
+    rows_now = [None] * length
 
     def candidates(d, state):
+        rows_now[d] = _node_rows(by_top[d], prefix)
         # with a = <1> each entry is a value, so only the common colour's class can follow
         if singles and state[0] is not None:
             return _colour_classes(col, bound, classes_cache).get(state[0], ())
@@ -438,11 +505,15 @@ def _mono_prefixes(col, a, length, bound, counter, classes_cache, pinned=None):
             return None
         prefix[d] = v
         cur = state[0]
-        for tup in by_top[d]:
-            val = _seq_value(a, prefix, tup)
+        for base, top, den, _ in rows_now[d]:
+            val = base + top * v
+            if den != 1:
+                val, rem = divmod(val, den)
+                if rem:
+                    return None
             if val < 1:
                 return None
-            c = col.colour(val)
+            c = colour_of(val)
             if cur is None:
                 if col.is_reserved(c):
                     return None
@@ -482,11 +553,12 @@ def check_separation(col, a, b, prefix_len, value_bound, node_budget=None):
     if prefix_len < len(a) or prefix_len < len(b):
         # one side's image is empty at this prefix length, so no witness
         return SeparationReport("none-within-bounds", None, None, 0)
+    a_rows, b_rows = _mt_rows(a, prefix_len), _mt_rows(b, prefix_len)
     classes_cache = {}
     try:
-        for x, colour in _mono_prefixes(col, a, prefix_len, value_bound, counter, classes_cache):
+        for x, colour in _mono_prefixes(col, a, a_rows, value_bound, counter, classes_cache):
             for y, _ in _mono_prefixes(
-                col, b, prefix_len, value_bound, counter, classes_cache, pinned=colour
+                col, b, b_rows, value_bound, counter, classes_cache, pinned=colour
             ):
                 return SeparationReport(
                     "witness", None, {"x": x, "y": y, "colour": colour}, counter.n
@@ -503,14 +575,6 @@ class TranslateResult:
     exhausted: bool
 
 
-def _fs_prefix(prefix, d):
-    """All finite sums of prefix[:d]; d is small here."""
-    sums = []
-    for v in prefix[:d]:
-        sums += [s + v for s in sums] + [v]
-    return sums
-
-
 def translate_witness(col, a, prefix_len, b_bound, x_bound, node_budget=None, workers=1):
     """Least (b, x) such that the finite sums of x together with b plus every
     a-system value of x are all positive and one colour.
@@ -525,9 +589,17 @@ def translate_witness(col, a, prefix_len, b_bound, x_bound, node_budget=None, wo
     if workers < 1:
         raise ValueError("need at least one worker")
     budget = node_budget if node_budget is not None else node_budget_default()
-    by_top = _mt_templates(prefix_len, len(a) - 1)
+    fs_top = _fs_rows(prefix_len)
+    mt_top = _mt_rows(a, prefix_len)
     span = range(1, x_bound + 1)
+    colour_of = col.colour
     prefix = [0] * prefix_len
+    rows_now = [None] * prefix_len
+
+    def candidates(d, state):
+        # the finite sums gaining entry d come first, then the translated a-values b + ...
+        rows_now[d] = _node_rows(fs_top[d], prefix) + _node_rows(mt_top[d], prefix, state[0])
+        return span
 
     def extend(d, v, state):
         # state: (b, common colour so far or None)
@@ -535,24 +607,25 @@ def translate_witness(col, a, prefix_len, b_bound, x_bound, node_budget=None, wo
             return None
         prefix[d] = v
         b, cur = state
-        # finite sums gaining v: v alone and v on top of earlier sums
-        new_sums = [v] + [s + v for s in _fs_prefix(prefix, d)]
-        for s in new_sums:
-            c = col.colour(s)
+        for base, top, den, _ in rows_now[d]:
+            val = base + top * v
+            if den != 1:
+                val, rem = divmod(val, den)
+                if rem:
+                    return None
+            if val < 1:
+                return None
+            c = colour_of(val)
             if cur is None:
                 cur = c
             elif c != cur:
-                return None
-        for tup in by_top[d]:
-            val = b + _seq_value(a, prefix, tup)
-            if val < 1 or col.colour(val) != cur:
                 return None
         return b, cur
 
     counter = _Counter(budget)
     for b in range(1, b_bound + 1):
         leaf, exhausted = _first_leaf(
-            _backtrack(prefix_len, lambda d, state: span, extend, counter, (b, None))
+            _backtrack(prefix_len, candidates, extend, counter, (b, None))
         )
         if leaf is not None:
             return TranslateResult((b, tuple(prefix), leaf[1]), counter.n, True)

@@ -1,0 +1,223 @@
+"""CLI contract: every argv ends with exit 0, 2 or 3 and never a traceback.
+
+argv is drawn from the subcommand grammar, with bad slugs, zero and negative
+bounds and malformed matrix or report files mixed in.  Sizes stay small so
+every run is quick; --threads stays small too (the searches start no threads).
+"""
+
+import contextlib
+import io
+import json
+import time
+
+import pytest
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
+
+from ripr.cli import main
+
+RUN_SECONDS = 5.0
+
+FILES = {
+    "empty": "",
+    "notjson": "rows?",
+    "scalar": "7",
+    "null": "null",
+    "flat": "[1, 2]",
+    "ragged": "[[1, 2], [3]]",
+    "float": "[[1.5, 2]]",
+    "bool": "[[true, 1]]",
+    "string-entry": '[["1", 2]]',
+    "dense": "[[1, 1], [1, 0], [0, 1]]",
+    "dense-zero-row": "[[0, 0], [1, 1]]",
+    "dense-obj": '{"dense": [[1, 2]], "width": 2}',
+    "dense-bad": '{"dense": 5}',
+    "dense-narrow": '{"dense": [[1, 2, 3]], "width": 1}',
+    "sparse": '{"width": 2, "rows": [[[0, 1, 1]], [[1, 1, 2]]]}',
+    "sparse-no-rows": '{"width": 2}',
+    "sparse-short-triple": '{"width": 2, "rows": [[[0, 1]]]}',
+    "sparse-zero-den": '{"width": 2, "rows": [[[0, 1, 0]]]}',
+    "sparse-bad-col": '{"width": 2, "rows": [[[5, 1, 1]]]}',
+    "sparse-neg-width": '{"width": -1, "rows": []}',
+    "sparse-str-width": '{"width": "2", "rows": [[[0, 1, 1]]]}',
+    "sparse-rows-scalar": '{"width": 2, "rows": 3}',
+    "report": '{"schemaVersion": 1, "command": "gen", "outcome": "ok"}',
+    "report-list": "[]",
+}
+
+small = st.integers(min_value=-2, max_value=4)
+pos = st.integers(min_value=-2, max_value=7)
+
+
+def _ints(lo=-3, hi=4, max_size=3):
+    return st.lists(st.integers(lo, hi), min_size=0, max_size=max_size).map(
+        lambda v: ",".join(map(str, v))
+    )
+
+
+def _family():
+    sized = st.tuples(
+        st.sampled_from(["f", "fprime", "identity", "ap", "doubling", "doublingsys"]),
+        st.integers(-1, 4),
+    ).map(lambda t: "%s:%d" % t)
+    coeffs = st.tuples(
+        st.sampled_from(["mt", "band"]), _ints(-2, 2, 3), st.integers(-1, 3)
+    ).map(lambda t: "%s:%s:%d" % t)
+    triples = st.tuples(
+        st.sampled_from(["mpc", "deuber"]), st.integers(-1, 2), st.integers(-1, 2),
+        st.integers(-1, 2),
+    ).map(lambda t: "%s:%d,%d,%d" % t)
+    rowsum = st.tuples(st.integers(-1, 3), st.integers(-1, 3)).map(
+        lambda t: "rowsum:%d:%d" % t
+    )
+    junk = st.sampled_from(["schur", "f", "f:x", "mt:1,1:2", "grouped:1,2", "grouped:",
+                            "nope:1", "", ":", "mpc:1,1"])
+    return st.one_of(sized, coeffs, triples, rowsum, junk)
+
+
+def _colouring():
+    return st.one_of(
+        st.tuples(st.sampled_from(["mod", "digitprofile"]), st.integers(-1, 5)).map(
+            lambda t: "%s:%d" % t
+        ),
+        st.sampled_from(["primeexp:2:3", "primeexp:1:1", "primeexp:1/2:3", "alpha:2",
+                         "alpha:1", "alpha:1/0", "alpha:0", "alpha:3/2", "notrapid:7:1,2",
+                         "notrapid:6:1", "notrapid:7:", "notrapid:3:1,-1,1", "notrapid:x",
+                         "mod", "bogus:1", ""]),
+    )
+
+
+def _matrix(prefix=""):
+    """--family/--matrix-file (or --<prefix>-family/--<prefix>-file) args."""
+    fam_flag = "--%s-family" % prefix if prefix else "--family"
+    file_flag = "--%s-file" % prefix if prefix else "--matrix-file"
+    return st.one_of(
+        _family().map(lambda f: [fam_flag, f]),
+        st.sampled_from(sorted(FILES) + ["missing", "directory"]).map(
+            lambda name: [file_flag, "@" + name]
+        ),
+        st.just([]),
+    )
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
+
+
+def _cat(*parts):
+    return st.tuples(*parts).map(lambda ps: [t for p in ps for t in p])
+
+
+def _argv():
+    lit = lambda *t: st.just(list(t))
+    budget = _opt("--budget", st.integers(-1, 60))
+    threads = _opt("--threads", st.integers(-1, 3))
+    gen = _cat(lit("gen"), st.one_of(_family(), st.sampled_from(
+        ["f", "fprime", "mt", "band", "mpc", "deuber", "doubling", "identity", "grouped",
+         "rowsum", "ap", "nope"])).map(lambda f: [f]),
+        _opt("--width", small), _opt("--rows", small), _opt("--coeffs", _ints(-2, 2)),
+        _opt("--m", small), _opt("--p", small), _opt("--c", small),
+        _opt("--total", small), _opt("--entry-bound", small), _opt("--n", small),
+        _opt("--k", small))
+    image = _cat(lit("image"), _matrix(), _opt("--x", st.sampled_from(
+        ["1,2", "1/2,3", "1/0", "", "a", "1,2,3,4", "-1,0"])))
+    digits = _cat(lit("digits", "--base"), st.integers(-12, 12).map(lambda b: [str(b)]),
+                  _opt("--gap", _ints(0, 7, 6)),
+                  st.lists(st.integers(-10**6, 10**6).map(str), max_size=3))
+    colour = _cat(lit("colour", "--kind"), st.sampled_from(
+        ["mod", "primeexp", "alpha", "digitprofile", "notrapid", "bogus"]).map(lambda k: [k]),
+        _opt("--modulus", small), _opt("--b", st.sampled_from(["2", "1/2", "0", "x"])),
+        _opt("--c", st.sampled_from(["3", "2", "-1"])), _opt("--ratio", st.sampled_from(
+            ["2", "1", "0", "3/2", "1/0"])), _opt("--p", st.integers(-1, 13)),
+        _opt("--coeffs", _ints(-3, 3)),
+        st.lists(st.integers(-3, 10**5).map(str), max_size=3))
+    search = _cat(lit("search"), _matrix(), _opt("--colouring", _colouring()),
+                  _opt("--bound", pos), _opt("--min-entry", small),
+                  st.sampled_from([[], ["--distinct-entries"], ["--distinct-image"]]),
+                  threads, budget)
+    force = _cat(lit("force"), _matrix(), _opt("--colours", st.integers(-1, 3)),
+                 _opt("--nmax", st.integers(-2, 7)), budget)
+    separate = _cat(lit("separate"), _opt("--a", _ints()), _opt("--b", _ints()),
+                    _opt("--colouring", _colouring()), _opt("--prefix", st.integers(-1, 3)),
+                    _opt("--bound", pos), budget)
+    dominate = _cat(lit("dominate"), _matrix("a"), _matrix("b"),
+                    _opt("--x", st.sampled_from(["1,2", "1,4,16", "0", "1/2,1", "", "1"])),
+                    _opt("--ybound", pos), budget)
+    certify = _cat(lit("certify"), _matrix("a"), _matrix("b"), _matrix("c"))
+    rapid = _cat(lit("rapid"), _opt("--p", st.integers(-1, 5)),
+                 st.sampled_from([[], ["--make"]]), _opt("--x", _ints(-1, 600)),
+                 _opt("--seeds", _ints(-1, 9)))
+    translate = _cat(lit("translate-search"), _opt("--a", _ints()),
+                     _opt("--colouring", _colouring()), _opt("--prefix", st.integers(-1, 3)),
+                     _opt("--bbound", st.integers(-1, 4)), _opt("--xbound", pos),
+                     threads, budget)
+    diff = _cat(lit("diff"), st.lists(st.sampled_from(sorted(FILES) + ["missing"]).map(
+        lambda name: "@" + name), min_size=0, max_size=3))
+    junk = st.lists(st.sampled_from(["bogus", "--", "-h", "search", "--bound", "x"]),
+                    max_size=3)
+    command = st.one_of(gen, image, digits, colour, search, force, separate, dominate,
+                        certify, rapid, translate, diff, junk)
+    extras = st.sampled_from([[], ["--timing"], ["--out", "@out"]])
+    return _cat(command, extras)
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli-contract")
+    paths = {}
+    for name, text in FILES.items():
+        paths[name] = root / (name + ".json")
+        paths[name].write_text(text)
+    paths["missing"] = root / "missing.json"
+    paths["directory"] = root
+    paths["out"] = root / "out" / "report.json"
+    (root / "out").mkdir()
+    return {name: str(p) for name, p in paths.items()}
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow],
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+@given(argv=_argv())
+def test_cli_exits_0_2_or_3_without_traceback(files, argv):
+    argv = [files[t[1:]] if t.startswith("@") else t for t in argv]
+    out, err = io.StringIO(), io.StringIO()
+    start = time.monotonic()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse: usage line plus one error line
+            code = e.code
+            assert code in (0, 2), (argv, code)
+            assert code == 0 or err.getvalue().splitlines()[-1].startswith("ripr")
+        else:
+            assert code in (0, 2, 3), (argv, code)
+            if code:
+                assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
+            else:
+                json.loads(out.getvalue())
+    assert time.monotonic() - start < RUN_SECONDS, argv
+    assert "Traceback" not in err.getvalue()
+
+
+def test_cli_contract_examples(files):
+    # concrete cases the grammar above covers, pinned so a regression names them
+    cases = [
+        (["diff", files["report-list"], files["report"]], 2),
+        (["search", "--matrix-file", files["float"], "--colouring", "mod:2", "--bound", "3"], 2),
+        (["search", "--matrix-file", files["flat"], "--colouring", "mod:2", "--bound", "3"], 2),
+        (["image", "--matrix-file", files["dense-bad"], "--x", "1"], 2),
+        (["image", "--matrix-file", files["sparse-zero-den"], "--x", "1,2"], 2),
+        (["force", "--matrix-file", files["report-list"], "--colours", "2", "--nmax", "3"], 2),
+        (["image", "--matrix-file", files["sparse-short-triple"], "--x", "1,2"], 2),
+        (["image", "--matrix-file", files["sparse-rows-scalar"], "--x", "1,2"], 2),
+        (["search", "--family", "f:2", "--colouring", "mod:2", "--bound", "0"], 2),
+        (["search", "--family", "f:2", "--colouring", "mod:2", "--bound", "3", "--threads",
+          "0"], 2),
+        (["separate", "--a", "1", "--b", "2,1", "--colouring", "mod:2", "--prefix", "0",
+          "--bound", "-1"], 0),
+    ]
+    for argv, want in cases:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == want, (argv, err.getvalue())
+        assert len(err.getvalue().splitlines()) == (1 if want else 0), (argv, err.getvalue())

@@ -14,7 +14,14 @@ from ripr.colourings import (
     rational_valuation,
     table_colouring,
 )
-from ripr.digits import GapPattern, gap_residue, negabase_digits, top_digits
+from ripr.digits import (
+    GapPattern,
+    gap_counts,
+    gap_residue,
+    least_significant_digit,
+    negabase_digits,
+    top_digits,
+)
 
 
 def test_colouring_input_validation():
@@ -138,6 +145,32 @@ def test_negabase_gap_components():
     for (a, pat), r in finger:
         assert r == gap_residue(a * x, 7, GapPattern(pat[0], pat[1:]))
         assert 1 <= r < 7
+
+
+def _gap_colour_by_composition(p, coeffs, x):
+    """The gap colour built from the separate digit functions, which expand
+    x once for the top digits, once for the lowest digit and once per
+    coefficient for the gap counts."""
+    if x <= p**4:
+        return ("small",)
+    finger = []
+    for a in dict.fromkeys(coeffs):
+        for pat, count in gap_counts(a * x, p).items():
+            if count % p:
+                finger.append(((a, (pat.upper,) + pat.lower), count % p))
+    return ("big", top_digits(x, p), least_significant_digit(x, p), tuple(sorted(finger)))
+
+
+@pytest.mark.parametrize("p,coeffs", [(7, (1, 2)), (11, (1, -2, 3)), (13, (2, 3)), (7, (-1, 2))])
+def test_negabase_gap_one_pass_matches_composition(p, coeffs):
+    # the one-pass colour must equal the composition byte for byte; _fn skips the memo
+    fn = negabase_gap_colouring(p, coeffs)._fn
+    bad = [x for x in range(1, 10**5 + 1) if fn(x) != _gap_colour_by_composition(p, coeffs, x)]
+    assert not bad, bad[:5]
+    rng = random.Random(p * 100 + len(coeffs))
+    xs = [rng.randrange(1, 10**30) for _ in range(2 * 10**4)]
+    bad = [x for x in xs if repr(fn(x)) != repr(_gap_colour_by_composition(p, coeffs, x))]
+    assert not bad, bad[:5]
 
 
 def test_negabase_gap_memoizes():

@@ -57,8 +57,22 @@ def test_expansion_accessors():
     assert e.support() == (1, 2)
     with pytest.raises(ValueError):
         e.digit(-1)
-    with pytest.raises(ValueError):
-        DigitExpansion(-3, ()).max_support()
+    for empty in ((), (0, 0)):
+        with pytest.raises(ValueError):
+            DigitExpansion(-3, empty).max_support()
+        with pytest.raises(ValueError):
+            DigitExpansion(-3, empty).min_support()
+
+
+def test_support_ends_match_support():
+    rng = random.Random(5)
+    for _ in range(500):
+        digits = tuple(rng.choice((0, 0, 1, 2)) for _ in range(rng.randint(1, 9)))
+        e = DigitExpansion(-3, digits)
+        s = e.support()
+        if s:
+            assert (e.min_support(), e.max_support()) == (s[0], s[-1])
+            assert e.value() == sum(d * (-3) ** i for i, d in enumerate(digits))
 
 
 def test_range_check_anchors():
@@ -136,6 +150,25 @@ def test_gap_residue_wraps():
     pat = GapPattern(1, (1, 0, 0, 0))
     assert len(find_gaps(x, 2, pat)) == 2
     assert gap_residue(x, 2, pat) == 0
+
+
+def _gap_sites_from_support(x, p):
+    supp = negabase_digits(x, p).support()
+    return [(s, t) for s, t in zip(supp, supp[1:]) if s % 2 == 0 and s >= 4 and t > s + 3]
+
+
+def test_gap_counts_agree_with_support_sites():
+    rng = random.Random(9)
+    for _ in range(3000):
+        p = rng.choice([2, 3, 5, 7, 11])
+        x = rng.randint(1, 10**rng.randint(3, 30)) * rng.choice([1, -1])
+        e = negabase_digits(x, p)
+        want = {}
+        for s, t in _gap_sites_from_support(x, p):
+            pat = GapPattern(e.digit(t), (e.digit(s), e.digit(s - 1), e.digit(s - 2), e.digit(s - 3)))
+            want[pat] = want.get(pat, 0) + 1
+        assert gap_counts(x, p) == want
+        assert list(gap_counts(x, p)) == list(want)  # first-occurrence order
 
 
 def test_gap_counts_agree_with_find_gaps():

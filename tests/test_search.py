@@ -20,6 +20,10 @@ from ripr.matgen import (
 )
 from ripr.ratcore import DimensionMismatch, FiniteMatrix, SparseRow, apply, image
 from ripr.search import (
+    _compile_rows,
+    _fs_rows,
+    _mt_rows,
+    _node_rows,
     BudgetExceeded,
     SearchConfig,
     check_separation,
@@ -33,7 +37,7 @@ from ripr.search import (
     refute_nonconstant,
     translate_witness,
 )
-from ripr.seqs import fs_image, mt_image, translated_mt_image
+from ripr.seqs import block_tuples, coeff_seq, fs_image, mt_image, translated_mt_image
 
 
 def _brute_least(A, col, cfg):
@@ -137,11 +141,12 @@ def test_search_worker_counts_agree():
 
 
 def _mono_colour(col, values):
-    """Common colour of a nonempty set of positive integers, or None."""
+    """Common colour of a nonempty set of positive integers, or None (also
+    when some value is not a positive integer)."""
     values = list(values)
-    if not values or any(v < 1 for v in values):
+    if not values or any(v < 1 or v != int(v) for v in values):
         return None
-    colours = {col.colour(v) for v in values}
+    colours = {col.colour(int(v)) for v in values}
     return colours.pop() if len(colours) == 1 else None
 
 
@@ -234,6 +239,78 @@ def test_translate_matches_brute_oracle():
         assert res.exhausted
         found += res.witness is not None
     assert 0 < found < 40
+
+
+def test_separation_rational_coefficients_match_brute_oracle():
+    # non-integral values prune, integral Fraction values are coloured as ints
+    rng = random.Random(7)
+    half = Fraction(1, 2)
+    seqs = [(half,), (half, 1), (1, half), (Fraction(3, 2), 1), (2, 1), (1,), (1, Fraction(-1, 3))]
+    outcomes = []
+    while len(outcomes) < 40:
+        col = rng.choice([mod_colouring(2), mod_colouring(3), ratio_colouring(2)])
+        a, b = rng.choice(seqs[:4]), rng.choice(seqs)
+        length, bound = rng.randint(1, 3), rng.randint(1, 8)
+        rep = check_separation(col, a, b, length, bound)
+        if rep.outcome == "proportional":
+            continue
+        want = _brute_separation(col, a, b, length, bound)
+        assert rep.witness == want, (col, a, b, length, bound)
+        outcomes.append(rep.outcome)
+    assert set(outcomes) == {"witness", "none-within-bounds"}
+    # x/2 over x = (6, 12) gives 3, 6, 9; 2*1 + 4 = 6
+    rep = check_separation(mod_colouring(3), (half,), (2, 1), 2, 14)
+    assert rep.witness == {"x": (6, 12), "y": (1, 4), "colour": 0}
+
+
+def test_translate_rational_coefficients_match_brute_oracle():
+    rng = random.Random(8)
+    half = Fraction(1, 2)
+    seqs = [(half, 1), (half,), (1, half), (Fraction(-1, 2), 1)]
+    found = 0
+    for _ in range(40):
+        col, a = rng.choice([mod_colouring(2), mod_colouring(3)]), rng.choice(seqs)
+        length = rng.randint(len(a), 3)
+        b_bound, x_bound = rng.randint(1, 5), rng.randint(1, 7)
+        res = translate_witness(col, a, length, b_bound, x_bound)
+        assert res.witness == _brute_translate(col, a, length, b_bound, x_bound), (
+            col, a, length, b_bound, x_bound)
+        found += res.witness is not None
+    assert 0 < found < 40
+    # finite sums 6, 3, 9 and 3 + 6/2 + 3 = 9, all 0 mod 3
+    res = translate_witness(mod_colouring(3), (half, 1), 2, 4, 12)
+    assert res.witness == (3, (6, 3), 0)
+
+
+def _compiled_values(by_top, x):
+    """(tag, value) of every compiled row at x, evaluated one depth at a time."""
+    out = []
+    for d, rows in enumerate(by_top):
+        for base, top, den, tag in _node_rows(rows, x):
+            out.append((tag, Fraction(base + top * x[d], den)))
+    return out
+
+
+def test_compiled_rows_match_images():
+    rng = random.Random(3)
+    terms = [1, 2, -1, -3, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 4)]
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        x = [rng.randint(-9, 30) for _ in range(n)]
+        a = [rng.choice(terms) for _ in range(rng.randint(1, n))]
+        if any(u == v for u, v in zip(a, a[1:])):
+            continue
+        a = coeff_seq(a)
+        vals = [v for _, v in _compiled_values(_mt_rows(a, n), x)]
+        assert len(vals) == len(list(block_tuples(n, len(a) - 1)))
+        assert set(vals) == mt_image(a, x).values
+        vals = [v for _, v in _compiled_values(_fs_rows(n), x)]
+        assert len(vals) == 2**n - 1 and set(vals) == fs_image(x).values
+        dense = [[rng.choice([0, 0] + terms) for _ in range(n)] for _ in range(rng.randint(1, 4))]
+        A = FiniteMatrix.from_dense(dense, n, allow_duplicate_rows=True)
+        rows = [(r, i) for i, r in enumerate(A.rows) if r]
+        got = sorted(_compiled_values(_compile_rows(rows, n), x))
+        assert got == [(i, v) for i, v in enumerate(apply(A, x)) if A.rows[i]]
 
 
 def test_search_budget_hit():
