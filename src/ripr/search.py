@@ -2,21 +2,25 @@
 separation sweeps, image domination, certificates.
 
 All searches are deterministic: a fixed request gives the same answer and
-the same node count.  The monochromatic, domination, separation and
+the same node count.  The monochromatic, forcing, domination, separation and
 translation searches share one depth-first engine, _backtrack, which tries
 candidate entries in increasing order and counts one node per candidate
 tried; the first complete assignment it yields is therefore the
-lexicographically least.  A budget hit is reported via exhausted=False and
-withdraws the leastness guarantee on any witness found.
+lexicographically least.  The engine keeps an explicit stack, so a walk may
+be as deep as its input asks.  A budget hit is reported via exhausted=False
+(forcing_bound raises BudgetExceeded) and withdraws the leastness guarantee
+on any witness found.
 
-Each of these searches compiles its values once, before the walk, as exact
-coefficient rows (matrix rows, MT block tuples or FS subsets) bucketed by top
-column, the last entry a row reads; see _compile_rows.  Entering a node at
-depth d (the engine asks for its candidates once per node) fixes the partial
-sum of every row whose top column is d, so each candidate v then costs one
-multiply-add per row.  Rows stay on plain ints:
+Each search except forcing compiles its values once, before the walk, as
+exact coefficient rows (matrix rows, MT block tuples or FS subsets) bucketed
+by top column, the last entry a row reads; see _compile_rows.  Entering a
+node at depth d (the engine asks for its candidates once per node) fixes the
+partial sum of every row whose top column is d, so each candidate v then
+costs one multiply-add per row.  Rows stay on plain ints:
 a row with a non-integral coefficient is scaled to integers and its value
-is kept only when the division by the scale is exact.
+is kept only when the division by the scale is exact.  Forcing colours the
+values 1, 2, 3, ... themselves and files each image under its largest value
+instead.
 """
 
 import math
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .matgen import is_first_entries
+from .matgen import _check_budget, is_first_entries
 from .ratcore import DimensionMismatch, ImageSet, SparseRow, apply, image
 from .seqs import block_tuples, coeff_seq, rationally_proportional
 
@@ -137,6 +141,7 @@ def _node_rows(rows, x, shift=0):
 def _mt_rows(a, length):
     """Compiled rows of the a-system over entry prefixes of the given length,
     one per block tuple."""
+    _check_budget((len(a) + 1) ** length, "block tuples of a %d-entry prefix" % length)
     return _compile_rows(
         (({t: a[i] for i, f in enumerate(tup) for t in f}, None)
          for tup in block_tuples(length, len(a) - 1)),
@@ -150,6 +155,7 @@ def _fs_rows(length):
     The rows ending at d are {d}, then each subset of the earlier entries in
     the order in which adding one entry at a time first builds it, plus d.
     """
+    _check_budget(2**length, "finite sums of a %d-entry prefix" % length)
     subsets = []  # every nonempty subset of range(d), in that order
     rows = []
     for d in range(length):
@@ -158,26 +164,44 @@ def _fs_rows(length):
     return _compile_rows(rows, length)
 
 
-def _backtrack(depth, candidates, extend, counter, state, d=0):
+def _backtrack(depth, candidates, extend, counter, state):
     """Depth-first walk over assignments of depth entries.
 
-    candidates(d, state) gives the values tried for entry d, in order, and
+    candidates(d, state) gives the values tried for entry d, in order; it is
+    called once per node entered, before any of them is extended.
     extend(d, v, state) fixes entry d to v and returns the child state, or
     None to prune.  Yields the state of every complete assignment in
     lexicographic order.  Each candidate tried counts one node, so _BudgetHit
     escapes from the generator once the counter runs out.
+
+    The walk keeps its own stack of candidate iterators and parent states,
+    so its depth is not limited by the interpreter's recursion limit.
     """
     step = counter.step
-    last = d + 1 == depth
-    for v in candidates(d, state):
-        step()
-        child = extend(d, v, state)
-        if child is None:
-            continue
-        if last:
-            yield child
+    last = depth - 1
+    d = 0
+    its = [iter(candidates(0, state))]
+    states = [state]
+    while True:
+        parent = states[d]
+        for v in its[d]:
+            step()
+            child = extend(d, v, parent)
+            if child is None:
+                continue
+            if d == last:
+                yield child
+            else:
+                d += 1
+                its.append(iter(candidates(d, child)))
+                states.append(child)
+                break
         else:
-            yield from _backtrack(depth, candidates, extend, counter, child, d + 1)
+            if d == 0:
+                return
+            its.pop()
+            states.pop()
+            d -= 1
 
 
 def _first_leaf(leaves):
@@ -260,7 +284,8 @@ def _realizable_images(A, n):
     """Distinct value sets of A at assignments whose image lies in [1, n].
 
     Requires non-negative entries with every column positively used, so the
-    assignment space is finite and the enumeration is complete.
+    assignment space is finite and the enumeration is complete; a space past
+    matgen's enumeration guard raises ValueError.
     """
     col_max = {}
     for r in A.rows:
@@ -280,6 +305,7 @@ def _realizable_images(A, n):
         if top < 1:
             return []
         ranges.append(range(1, top + 1))
+    _check_budget(math.prod(map(len, ranges)), "forcing images up to n=%d" % n)
     out = set()
     for x in product(*ranges):
         vals = []
@@ -295,43 +321,77 @@ def _realizable_images(A, n):
 
 
 def forcing_bound(A, colours, n_max, node_budget=None):
-    """Least n such that every colours-colouring of [1, n] leaves some image
-    of A monochromatic, together with an avoiding certificate for n - 1.
+    """Least n <= n_max such that every colours-colouring of [1, n] leaves
+    some image of A monochromatic, with an avoiding certificate for n - 1.
 
-    certificate[i] is the colour of i + 1.  If no n <= n_max forces, bound is
-    None and the certificate avoids monochromatic images on [1, n_max].
-    Raises BudgetExceeded when the colouring sweep outgrows the node budget.
+    One depth-first walk on _backtrack colours 1, 2, 3, ... in turn: entry d
+    is the colour of d + 1, and colour c is pruned there when some image
+    whose largest value is d + 1 has every other value coloured c.  The
+    images are enumerated as the walk deepens, each time it first passes the
+    values enumerated so far (up to twice its depth, at most n_max), and
+    filed under their largest value.  Colours open in first-use order (entry
+    d tries 0 up to one past the largest colour used before it), which loses
+    nothing because renaming colours preserves avoidance.  Avoidance is
+    closed under prefixes, so if the deepest depth reached is L < n_max the
+    bound is L + 1; a walk that colours all of [1, n_max] gives bound None.
+
+    certificate[i] is the colour of i + 1.  It is the first colouring of
+    [1, L] the walk reaches: the lexicographically least avoiding colouring,
+    which already uses its colours in first-use order.  nodes counts one per
+    colour tried.  Raises BudgetExceeded when the walk outgrows the node
+    budget, and ValueError when the images the walk needs are too many to
+    enumerate.
     """
     if colours < 1:
         raise ValueError("need at least one colour")
     if not A.rows:
         raise ValueError("matrix has no rows")
+    if n_max < 1:
+        return ForcingResult(None, (), 0)
     budget = node_budget if node_budget is not None else node_budget_default()
-    nodes = 0
-    cert = ()
-    for n in range(1, n_max + 1):
-        images = _realizable_images(A, n)
-        avoiding = None
-        for tail in product(range(colours), repeat=n - 1):
-            colour_of = (0,) + tail  # colour of value i is colour_of[i-1]
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded("forcing sweep at n=%d exceeds the node budget" % n)
-            mono = False
-            for s in images:
-                nodes += 1
-                it = iter(s)
-                c0 = colour_of[next(it) - 1]
-                if all(colour_of[v - 1] == c0 for v in it):
-                    mono = True
+    by_top = {}  # d -> per image with largest value d + 1, the indices of its other values
+    reach = 0  # by_top holds every image inside [1, reach]
+    colour = []  # colour[i]: the colour of i + 1 on the current path
+    cert = []  # the first colouring reached at the deepest depth so far
+    synced = 0  # colour[:synced] == cert[:synced]
+
+    def candidates(d, opened):
+        nonlocal reach
+        if d >= reach:
+            old, reach = reach, min(n_max, 2 * (d + 1))
+            for s in _realizable_images(A, reach):
+                m = max(s)
+                if m > old:
+                    by_top.setdefault(m - 1, []).append(
+                        tuple(v - 1 for v in sorted(s) if v != m))
+        return range(min(opened + 1, colours))
+
+    def extend(d, c, opened):
+        nonlocal synced
+        for others in by_top.get(d, ()):
+            for i in others:
+                if colour[i] != c:
                     break
-            if not mono:
-                avoiding = colour_of
-                break
-        if avoiding is None:
-            return ForcingResult(n, cert, nodes)
-        cert = avoiding
-    return ForcingResult(None, cert, nodes)
+            else:
+                return None
+        colour[d:] = (c,)
+        if d < synced:
+            synced = d
+        if d == len(cert):
+            # every entry from synced to d was set since the last copy
+            cert[synced:] = colour[synced:]
+            synced = d + 1
+        return max(opened, c + 1)
+
+    counter = _Counter(budget)
+    try:
+        leaf = next(_backtrack(n_max, candidates, extend, counter, 0), None)
+    except _BudgetHit:
+        raise BudgetExceeded(
+            "forcing search at n=%d exceeds the node budget" % (len(cert) + 1)
+        ) from None
+    bound = None if leaf is not None else len(cert) + 1
+    return ForcingResult(bound, tuple(cert), counter.n)
 
 
 def find_dominated_assignment(A, B, x, y_bound, node_budget=None):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -222,6 +223,62 @@ def test_main_bad_inputs_exit_2_with_one_error_line(tmp_path, capsys):
         code, out, err = _capture(capsys, argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+def test_main_search_and_dominate_deeper_than_the_recursion_limit(tmp_path, capsys):
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"width": 3000, "rows": [[[2999, 1, 1]]]}))
+    code, out, _ = _capture(
+        capsys,
+        ["search", "--matrix-file", str(wide), "--colouring", "mod:2", "--bound", "2"],
+    )
+    rep = json.loads(out)
+    assert code == 0 and rep["outcome"] == "witness"
+    assert rep["witness"]["assignment"] == [1] * 3000
+    code, out, _ = _capture(
+        capsys,
+        ["dominate", "--a-file", str(wide), "--b-file", str(wide),
+         "--x", ",".join(["1"] * 3000), "--ybound", "2"],
+    )
+    rep = json.loads(out)
+    assert code == 0 and rep["outcome"] == "witness"
+    assert rep["witness"]["assignment"] == [1] * 3000
+
+
+def test_main_rejects_enumerations_past_the_guard(capsys):
+    for argv in (
+        ["separate", "--a", "1", "--b", "2,1", "--colouring", "mod:2",
+         "--prefix", "24", "--bound", "3"],
+        ["translate-search", "--a", "2,1", "--colouring", "mod:2",
+         "--prefix", "24", "--bbound", "3", "--xbound", "3"],
+    ):
+        start = time.monotonic()
+        code, out, err = _capture(capsys, argv)
+        assert time.monotonic() - start < 1, argv
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+def test_main_force_enumerates_images_only_as_deep_as_the_walk(tmp_path, capsys):
+    start = time.monotonic()
+    code, out, _ = _capture(
+        capsys, ["force", "--family", "schur", "--colours", "2", "--nmax", "100000"]
+    )
+    assert time.monotonic() - start < 1
+    rep = json.loads(out)
+    assert code == 0 and rep["bound"] == 5 and rep["certificate"] == [0, 1, 1, 0]
+    # The only image of 2000*(x1 + ... + x12) is one value of at least 24000,
+    # so the walk colours 1, 2, 3, ... with 0 and goes deep; the images below
+    # 8190 are 4**12 assignments, past the enumeration guard.
+    sparse = tmp_path / "sparse.json"
+    sparse.write_text(json.dumps({"width": 12, "rows": [[[c, 2000, 1] for c in range(12)]]}))
+    start = time.monotonic()
+    code, out, err = _capture(
+        capsys, ["force", "--matrix-file", str(sparse), "--colours", "2", "--nmax", "100000"]
+    )
+    assert time.monotonic() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "n=8190" in err and err.count("\n") == 1, err
 
 
 def test_main_search_budget_zero_means_zero(capsys):

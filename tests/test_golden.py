@@ -2,8 +2,10 @@
 
 Each case is an argv whose report, `nodes` included, lives in
 tests/golden/<name>.json.  The corpus is the criterion-12 search corpus plus
-separate, dominate and translate-search requests that find a witness, find
-none, or stop on their node budget.  After a deliberate change to a report,
+separate, dominate, translate-search and force requests that find a witness
+(or a bound), find none, or stop on their node budget.  force cannot report
+a budget stop in its body: it exits 3, and its golden records the exit code
+and the stderr line instead of a report.  After a deliberate change to a report,
 regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -54,13 +56,19 @@ CASES.update({
     "translate-budget": ["translate-search", "--a", "2,1", "--colouring", "mod:3",
                          "--prefix", "3", "--bbound", "10", "--xbound", "12",
                          "--budget", "200"],
+    "force-forced": ["force", "--family", "ap:3", "--colours", "2", "--nmax", "12"],
+    "force-not-forced": ["force", "--family", "schur", "--colours", "3", "--nmax", "13"],
+    "force-budget": ["force", "--family", "schur", "--colours", "2", "--nmax", "8",
+                     "--budget", "5"],
 })
 
 
 def _report(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
+    if code == 3:
+        return canonical({"exitCode": code, "stderr": err.getvalue()})
     assert code == 0, argv
     return out.getvalue()
 

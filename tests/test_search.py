@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from ripr.cli import parse_family
 from ripr.colourings import (
     digit_profile_colouring,
     mod_colouring,
@@ -24,6 +25,7 @@ from ripr.search import (
     _fs_rows,
     _mt_rows,
     _node_rows,
+    _realizable_images,
     BudgetExceeded,
     SearchConfig,
     check_separation,
@@ -389,6 +391,61 @@ def test_forcing_rejects_bad_matrices():
         forcing_bound(FiniteMatrix.from_dense([(1, 0)]), 2, 5)  # unused column
     with pytest.raises(BudgetExceeded):
         forcing_bound(schur_matrix(), 2, 8, node_budget=5)
+
+
+def _forcing_sweep(A, colours, n_max):
+    """Brute-force oracle for forcing_bound: for each n in turn, sweep every
+    colouring of [1, n] with 1 coloured 0 in lexicographic order against
+    every image in [1, n].  Returns (bound, certificate)."""
+    cert = ()
+    for n in range(1, n_max + 1):
+        images = _realizable_images(A, n)
+        avoiding = None
+        for tail in product(range(colours), repeat=n - 1):
+            colour_of = (0,) + tail  # colour of value i is colour_of[i-1]
+            if not any(len({colour_of[v - 1] for v in s}) == 1 for s in images):
+                avoiding = colour_of
+                break
+        if avoiding is None:
+            return n, cert
+        cert = avoiding
+    return None, cert
+
+
+@pytest.mark.parametrize("family", ["schur", "ap:3", "ap:4", "f:2", "mpc:2,2,1"])
+def test_forcing_matches_sweep_oracle(family):
+    A = parse_family(family)
+    for colours in (1, 2, 3):
+        for n_max in (-1, 0, 1, 4, 10):
+            res = forcing_bound(A, colours, n_max)
+            assert (res.bound, res.certificate) == _forcing_sweep(A, colours, n_max), (
+                colours, n_max)
+
+
+def _has_mono_ap(colour_of, length):
+    n = len(colour_of)
+    return any(
+        len({colour_of[a + i * d] for i in range(length)}) == 1
+        for d in range(1, n) for a in range(n - (length - 1) * d)
+    )
+
+
+def test_forcing_reaches_schur_three_and_van_der_waerden_two_four():
+    res = forcing_bound(schur_matrix(), 3, 14)
+    assert res.bound == 14  # S(3) = 13
+    assert res.certificate == (0, 1, 1, 0, 2, 2, 0, 2, 2, 0, 1, 1, 0)
+    res = forcing_bound(arithmetic_progression_matrix(4), 2, 35)
+    assert res.bound == 35  # W(2; 4) = 35
+    cert = res.certificate
+    assert len(cert) == 34 and set(cert) == {0, 1} and cert[0] == 0
+    assert not _has_mono_ap(cert, 4)
+    assert _has_mono_ap(cert + (0,), 4) and _has_mono_ap(cert + (1,), 4)
+
+
+def test_forcing_walk_deeper_than_the_recursion_limit():
+    res = forcing_bound(FiniteMatrix.from_dense([(1,), (1000,)]), 2, 1500)
+    assert res.bound is None
+    assert res.certificate == tuple(int(v == 1000) for v in range(1, 1501))
 
 
 def test_dominated_assignment_positive_case():
