@@ -61,6 +61,51 @@ CASES.update({
     "force-budget": ["force", "--family", "schur", "--colours", "2", "--nmax", "8",
                      "--budget", "5"],
 })
+# gen in flag form for every family, optional trailing fields included, and in
+# slug form; colour --kind for every colouring; the other small commands
+CASES.update({"gen-" + name: ["gen"] + argv.split() for name, argv in {
+    "schur": "schur",
+    "f": "f --width 3",
+    "fprime": "fprime --width 4",
+    "fprime-rows": "fprime --width 4 --rows 5",
+    "mt": "mt --coeffs 2,1 --width 4",
+    "mt-rows": "mt --coeffs 2,1 --width 4 --rows 3",
+    "band": "band --coeffs 1,2 --rows 3",
+    "band-width": "band --coeffs 1,2 --rows 3 --width 6",
+    "mpc": "mpc --m 2 --p 2 --c 1",
+    "deuber": "deuber --m 2 --p 1 --c 1",
+    "doubling": "doubling --n 3",
+    "doublingsys": "doublingsys --n 3",
+    "identity": "identity --n 3",
+    "grouped": "grouped --coeffs 1,2",
+    "rowsum": "rowsum --total 3 --width 2",
+    "rowsum-rows-without-entry-bound": "rowsum --total 3 --width 2 --rows 2",
+    "rowsum-entry-bound": "rowsum --total 3 --width 3 --entry-bound 2",
+    "rowsum-entry-bound-rows": "rowsum --total 3 --width 3 --entry-bound 2 --rows 4",
+    "ap": "ap --k 3",
+    "slug-mt": "mt:2,1:4",
+    "slug-deuber": "deuber:2,2,1",
+    "slug-rowsum": "rowsum:3:3:2:4",
+    "slug-band": "band:1,2:3:6",
+}.items()})
+CASES.update({"colour-" + name: ["colour", "--kind"] + argv.split() for name, argv in {
+    "mod": "mod --modulus 3 1 2 3",
+    "primeexp": "primeexp --b 2 --c 3 1 2 12",
+    "alpha": "alpha --ratio 3/2 1 2 3",
+    "digitprofile": "digitprofile --p 5 1 7 26",
+    "notrapid": "notrapid --p 7 --coeffs 1,2 7 2500 282477650",
+}.items()})
+CASES.update({
+    "image": ["image", "--family", "f:2", "--x", "1,2/3"],
+    "digits-gap": ["digits", "--base", "-7", "--gap", "1,1,0,0,0", "282477650"],
+    "digits-positive": ["digits", "--base", "10", "305", "7"],
+    "certify-certified": ["certify", "--a-family", "schur", "--b-family", "schur",
+                          "--c-family", "identity:2"],
+    "certify-not-certified": ["certify", "--a-family", "f:2", "--b-family", "mpc:2,1,1",
+                              "--c-family", "identity:2"],
+    "rapid-check": ["rapid", "--p", "2", "--x", "1,3,7"],
+    "rapid-make": ["rapid", "--p", "2", "--make", "--seeds", "3,5"],
+})
 
 
 def _report(argv):
