@@ -5,6 +5,13 @@ trailing newline) so replaying an experiment spec yields byte-identical
 output.  Wall-clock time never enters the canonical body: the optional
 --timing flag adds a "timing" sidecar key which report_diff ignores.
 
+Matrix families and colourings are named by slugs: a name, then one
+':'-separated text per field of its entry in _FAMILIES or _COLOURINGS
+(f:3, mt:2,1:4, deuber:2,2,1, notrapid:7:1,2).  The gen and colour flags
+spell the same fields (gen mt --coeffs 2,1 --width 4 is gen mt:2,1:4), and
+the report echoes the slug.  Every other option is echoed in the report's
+params under its camelCase name (--min-entry as minEntry).
+
 Exit codes: 0 completed (including "none found" outcomes), 2 bad usage or
 invalid input, 3 node budget exceeded where the operation cannot report it
 in-band.
@@ -16,6 +23,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import colourings, matgen, search
 from .digits import GapPattern, base_digits, find_gaps, gap_residue, negabase_digits
@@ -62,51 +70,87 @@ def canonical(report):
     return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+class _Field(NamedTuple):
+    """One slug field: its flag (or a comma group of flags such as m,p,c),
+    the converter of each flag's text, and whether the field may be left out."""
+
+    flags: tuple
+    convert: object
+    optional: bool
+
+
+def _field(flags, convert=int, optional=False):
+    return _Field(tuple(flags.split(",")), convert, optional)
+
+
+# A slug is the name, then one ':'-separated text per field, in order; trailing
+# optional fields may be left out in order.  The same fields spell the gen and
+# colour flags.  Each entry is (builder, *fields); the builder takes the field
+# values in order, a group's values one by one.
+_FAMILIES = {
+    "schur": (matgen.schur_matrix,),
+    "f": (matgen.finite_sums_matrix, _field("width")),
+    "fprime": (matgen.pairwise_sum_rows, _field("width"), _field("rows", optional=True)),
+    "mt": (matgen.milliken_taylor_rows, _field("coeffs", parse_int_list), _field("width"),
+           _field("rows", optional=True)),
+    "band": (matgen.band_matrix, _field("coeffs", parse_int_list), _field("rows"),
+             _field("width", optional=True)),
+    "mpc": (matgen.mpc_matrix, _field("m,p,c")),
+    "deuber": (matgen.deuber_matrix, _field("m,p,c")),
+    "rowsum": (matgen.constant_rowsum_rows, _field("total"), _field("width"),
+               _field("entry-bound", optional=True), _field("rows", optional=True)),
+    "doubling": (matgen.doubling_block_matrix, _field("n")),
+    "doublingsys": (matgen.doubling_system, _field("n")),
+    "identity": (matgen.identity_matrix, _field("n")),
+    "grouped": (matgen.grouped_sum_matrix, _field("coeffs", parse_int_list)),
+    "ap": (matgen.arithmetic_progression_matrix, _field("k")),
+}
+
+_COLOURINGS = {
+    "mod": (colourings.mod_colouring, _field("modulus")),
+    "primeexp": (colourings.prime_exponent_colouring, _field("b", parse_rational),
+                 _field("c", parse_rational)),
+    "alpha": (colourings.ratio_colouring, _field("ratio", parse_rational)),
+    "digitprofile": (colourings.digit_profile_colouring, _field("p")),
+    "notrapid": (colourings.negabase_gap_colouring, _field("p"),
+                 _field("coeffs", parse_int_list)),
+}
+
+
+def _slug_grammar(name, fields):
+    """The slug pattern of a table entry, e.g. mt:coeffs:width[:rows]."""
+    text = name
+    for f in fields:
+        part = ":" + ",".join(f.flags)
+        text += "[" + part if f.optional else part
+    return text + "]" * sum(f.optional for f in fields)
+
+
+def _parse_slug(table, what, slug):
+    name, *texts = str(slug).split(":")
+    if name not in table:
+        raise ValueError("unknown %s %r" % (what, name))
+    build, *fields = table[name]
+    if not sum(not f.optional for f in fields) <= len(texts) <= len(fields):
+        raise ValueError("%s %r takes %s" % (what, name, _slug_grammar(name, fields)))
+    values = []
+    for f, text in zip(fields, texts):
+        if len(f.flags) == 1:
+            values.append(f.convert(text))
+            continue
+        group = [f.convert(t) for t in text.split(",") if t.strip() != ""]
+        if len(group) != len(f.flags):
+            raise ValueError("%s %r needs %s in one field" % (what, name, ",".join(f.flags)))
+        values += group
+    try:
+        return build(*values)
+    except (IndexError, TypeError) as e:
+        raise ValueError("bad arguments for %s %r: %s" % (what, name, e))
+
+
 def parse_family(slug):
     """Build a matrix from a family slug like f:3, mt:2,1:4 or deuber:2,2,1."""
-    parts = str(slug).split(":")
-    name, args = parts[0], parts[1:]
-
-    def ints(i):
-        return parse_int_list(args[i])
-
-    try:
-        if name == "schur":
-            return matgen.schur_matrix()
-        if name == "f":
-            return matgen.finite_sums_matrix(int(args[0]))
-        if name == "fprime":
-            budget = int(args[1]) if len(args) > 1 else None
-            return matgen.pairwise_sum_rows(int(args[0]), budget)
-        if name == "mt":
-            budget = int(args[2]) if len(args) > 2 else None
-            return matgen.milliken_taylor_rows(ints(0), int(args[1]), budget)
-        if name == "band":
-            width = int(args[2]) if len(args) > 2 else None
-            return matgen.band_matrix(ints(0), int(args[1]), width)
-        if name == "mpc":
-            m, p, c = ints(0)
-            return matgen.mpc_matrix(m, p, c)
-        if name == "deuber":
-            m, p, c = ints(0)
-            return matgen.deuber_matrix(m, p, c)
-        if name == "doubling":
-            return matgen.doubling_block_matrix(int(args[0]))
-        if name == "doublingsys":
-            return matgen.doubling_system(int(args[0]))
-        if name == "grouped":
-            return matgen.grouped_sum_matrix(ints(0))
-        if name == "rowsum":
-            entry_bound = int(args[2]) if len(args) > 2 else None
-            budget = int(args[3]) if len(args) > 3 else None
-            return matgen.constant_rowsum_rows(int(args[0]), int(args[1]), entry_bound, budget)
-        if name == "identity":
-            return matgen.identity_matrix(int(args[0]))
-        if name == "ap":
-            return matgen.arithmetic_progression_matrix(int(args[0]))
-    except (IndexError, TypeError) as e:
-        raise ValueError("bad arguments for family %r: %s" % (name, e))
-    raise ValueError("unknown matrix family %r" % name)
+    return _parse_slug(_FAMILIES, "matrix family", slug)
 
 
 def load_matrix(path):
@@ -133,24 +177,8 @@ def _matrix_from(params, family_key="family", file_key="matrixFile"):
 
 
 def parse_colouring(slug):
-    parts = str(slug).split(":")
-    name, args = parts[0], parts[1:]
-    try:
-        if name == "mod":
-            return colourings.mod_colouring(int(args[0]))
-        if name == "primeexp":
-            return colourings.prime_exponent_colouring(
-                parse_rational(args[0]), parse_rational(args[1])
-            )
-        if name == "alpha":
-            return colourings.ratio_colouring(parse_rational(args[0]))
-        if name == "digitprofile":
-            return colourings.digit_profile_colouring(int(args[0]))
-        if name == "notrapid":
-            return colourings.negabase_gap_colouring(int(args[0]), parse_int_list(args[1]))
-    except (IndexError, TypeError) as e:
-        raise ValueError("bad arguments for colouring %r: %s" % (name, e))
-    raise ValueError("unknown colouring %r" % name)
+    """Build a colouring from a slug like mod:3, alpha:3/2 or notrapid:7:1,2."""
+    return _parse_slug(_COLOURINGS, "colouring", slug)
 
 
 def _search_config(params):
@@ -409,6 +437,13 @@ def _add_matrix_args(sp, prefix=""):
         sp.add_argument("--matrix-file")
 
 
+def _add_slug_flags(sp, table):
+    """One flag per slug field flag in table, int-typed where its converter is int."""
+    flags = {flag: f.convert for _, *fields in table.values() for f in fields for flag in f.flags}
+    for flag, convert in flags.items():
+        sp.add_argument("--" + flag, type=int if convert is int else None)
+
+
 def _build_parser():
     ap = argparse.ArgumentParser(prog="ripr", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
@@ -419,16 +454,7 @@ def _build_parser():
 
     g = sub.add_parser("gen", help="generate a matrix family")
     g.add_argument("family", help="family name or full slug (f, fprime, mt, band, ...)")
-    g.add_argument("--width", type=int)
-    g.add_argument("--rows", type=int)
-    g.add_argument("--coeffs")
-    g.add_argument("--m", type=int)
-    g.add_argument("--p", type=int)
-    g.add_argument("--c", type=int)
-    g.add_argument("--total", type=int)
-    g.add_argument("--entry-bound", type=int)
-    g.add_argument("--n", type=int)
-    g.add_argument("--k", type=int)
+    _add_slug_flags(g, _FAMILIES)
 
     im = sub.add_parser("image", help="image of a matrix at an assignment")
     _add_matrix_args(im)
@@ -440,14 +466,8 @@ def _build_parser():
     d.add_argument("numbers", nargs="+", type=int)
 
     c = sub.add_parser("colour", help="evaluate a colouring")
-    c.add_argument("--kind", required=True,
-                   choices=["mod", "primeexp", "alpha", "digitprofile", "notrapid"])
-    c.add_argument("--modulus", type=int)
-    c.add_argument("--b")
-    c.add_argument("--c")
-    c.add_argument("--ratio")
-    c.add_argument("--p", type=int)
-    c.add_argument("--coeffs")
+    c.add_argument("--kind", required=True, choices=list(_COLOURINGS))
+    _add_slug_flags(c, _COLOURINGS)
     c.add_argument("numbers", nargs="+", type=int)
 
     s = sub.add_parser("search", help="least monochromatic-image assignment")
@@ -513,61 +533,6 @@ def _build_parser():
     return ap
 
 
-def _gen_slug(args):
-    fam = args.family
-    if ":" in fam:
-        return fam
-    need = lambda v, flag: (_die("%s requires %s" % (fam, flag)) if v is None else v)
-    if fam == "schur":
-        return "schur"
-    if fam == "f":
-        return "f:%d" % need(args.width, "--width")
-    if fam == "fprime":
-        slug = "fprime:%d" % need(args.width, "--width")
-        return slug + (":%d" % args.rows if args.rows is not None else "")
-    if fam == "mt":
-        slug = "mt:%s:%d" % (need(args.coeffs, "--coeffs"), need(args.width, "--width"))
-        return slug + (":%d" % args.rows if args.rows is not None else "")
-    if fam == "band":
-        slug = "band:%s:%d" % (need(args.coeffs, "--coeffs"), need(args.rows, "--rows"))
-        return slug + (":%d" % args.width if args.width is not None else "")
-    if fam in ("mpc", "deuber"):
-        return "%s:%d,%d,%d" % (
-            fam,
-            need(args.m, "--m"),
-            need(args.p, "--p"),
-            need(args.c, "--c"),
-        )
-    if fam in ("doubling", "doublingsys", "identity"):
-        return "%s:%d" % (fam, need(args.n, "--n"))
-    if fam == "grouped":
-        return "grouped:%s" % need(args.coeffs, "--coeffs")
-    if fam == "rowsum":
-        slug = "rowsum:%d:%d" % (need(args.total, "--total"), need(args.width, "--width"))
-        if args.entry_bound is not None:
-            slug += ":%d" % args.entry_bound
-            if args.rows is not None:
-                slug += ":%d" % args.rows
-        return slug
-    if fam == "ap":
-        return "ap:%d" % need(args.k, "--k")
-    _die("unknown family %r" % fam)
-
-
-def _colour_slug(args):
-    k = args.kind
-    need = lambda v, flag: (_die("%s requires %s" % (k, flag)) if v is None else v)
-    if k == "mod":
-        return "mod:%d" % need(args.modulus, "--modulus")
-    if k == "primeexp":
-        return "primeexp:%s:%s" % (need(args.b, "--b"), need(args.c, "--c"))
-    if k == "alpha":
-        return "alpha:%s" % need(args.ratio, "--ratio")
-    if k == "digitprofile":
-        return "digitprofile:%d" % need(args.p, "--p")
-    return "notrapid:%d:%s" % (need(args.p, "--p"), need(args.coeffs, "--coeffs"))
-
-
 class _UsageError(Exception):
     pass
 
@@ -576,115 +541,49 @@ def _die(msg):
     raise _UsageError(msg)
 
 
+def _slug_from_flags(table, name, args):
+    """The slug that the gen/colour flags spell for table entry name."""
+    slug = name
+    for f in table[name][1:]:
+        values = [getattr(args, flag.replace("-", "_")) for flag in f.flags]
+        if None in values:
+            if f.optional:
+                break
+            _die("%s requires %s" % (name, " ".join("--" + flag for flag in f.flags)))
+        slug += ":" + ",".join(map(str, values))
+    return slug
+
+
+# report params converted from their flag's text; every other option is echoed as parsed
+_LIST_PARAMS = {"a": parse_int_list, "b": parse_int_list, "x": lambda t: str(t).split(",")}
+
+
 def _spec_from_args(args):
     cmd = args.command
     if cmd == "gen":
-        return ExperimentSpec("gen", {"family": _gen_slug(args)})
-    if cmd == "image":
-        return ExperimentSpec(
-            "image",
-            {
-                "family": args.family,
-                "matrixFile": args.matrix_file,
-                "x": str(args.x).split(","),
-            },
-        )
-    if cmd == "digits":
-        return ExperimentSpec(
-            "digits", {"base": args.base, "numbers": args.numbers, "gap": args.gap}
-        )
+        fam = args.family
+        if ":" not in fam:
+            if fam not in _FAMILIES:
+                _die("unknown family %r" % fam)
+            fam = _slug_from_flags(_FAMILIES, fam, args)
+        return ExperimentSpec("gen", {"family": fam})
     if cmd == "colour":
-        return ExperimentSpec(
-            "colour", {"colouring": _colour_slug(args), "numbers": args.numbers}
-        )
-    if cmd == "search":
-        return ExperimentSpec(
-            "search",
-            {
-                "family": args.family,
-                "matrixFile": args.matrix_file,
-                "colouring": args.colouring,
-                "bound": args.bound,
-                "minEntry": args.min_entry,
-                "distinctEntries": args.distinct_entries,
-                "distinctImage": args.distinct_image,
-                "threads": args.threads,
-                "budget": args.budget,
-            },
-        )
-    if cmd == "force":
-        return ExperimentSpec(
-            "force",
-            {
-                "family": args.family,
-                "matrixFile": args.matrix_file,
-                "colours": args.colours,
-                "nmax": args.nmax,
-                "budget": args.budget,
-            },
-        )
-    if cmd == "separate":
-        return ExperimentSpec(
-            "separate",
-            {
-                "a": parse_int_list(args.a),
-                "b": parse_int_list(args.b),
-                "colouring": args.colouring,
-                "prefix": args.prefix,
-                "bound": args.bound,
-                "budget": args.budget,
-            },
-        )
-    if cmd == "dominate":
-        return ExperimentSpec(
-            "dominate",
-            {
-                "aFamily": args.a_family,
-                "aFile": args.a_file,
-                "bFamily": args.b_family,
-                "bFile": args.b_file,
-                "x": str(args.x).split(","),
-                "ybound": args.ybound,
-                "budget": args.budget,
-            },
-        )
-    if cmd == "certify":
-        return ExperimentSpec(
-            "certify",
-            {
-                "aFamily": args.a_family,
-                "aFile": args.a_file,
-                "bFamily": args.b_family,
-                "bFile": args.b_file,
-                "cFamily": args.c_family,
-                "cFile": args.c_file,
-            },
-        )
+        colouring = _slug_from_flags(_COLOURINGS, args.kind, args)
+        return ExperimentSpec("colour", {"colouring": colouring, "numbers": args.numbers})
     if cmd == "rapid":
-        params = {"p": args.p, "make": args.make}
-        if args.make:
-            if not args.seeds:
-                _die("--make requires --seeds")
-            params["seeds"] = parse_int_list(args.seeds)
-        else:
-            if not args.x:
-                _die("rapid requires --x (or --make with --seeds)")
-            params["x"] = parse_int_list(args.x)
-        return ExperimentSpec("rapid", params)
-    if cmd == "translate-search":
-        return ExperimentSpec(
-            "translate-search",
-            {
-                "a": parse_int_list(args.a),
-                "colouring": args.colouring,
-                "prefix": args.prefix,
-                "bbound": args.bbound,
-                "xbound": args.xbound,
-                "threads": args.threads,
-                "budget": args.budget,
-            },
-        )
-    _die("unknown command %r" % cmd)
+        key = "seeds" if args.make else "x"
+        if not getattr(args, key):
+            _die("--make requires --seeds" if args.make
+                 else "rapid requires --x (or --make with --seeds)")
+        return ExperimentSpec("rapid", {"p": args.p, "make": args.make,
+                                        key: parse_int_list(getattr(args, key))})
+    params = {}
+    for dest, value in vars(args).items():
+        if dest not in ("command", "out", "timing"):
+            head, *rest = dest.split("_")
+            key = head + "".join(w.capitalize() for w in rest)  # min_entry -> minEntry
+            params[key] = _LIST_PARAMS[dest](value) if dest in _LIST_PARAMS else value
+    return ExperimentSpec(cmd, params)
 
 
 def main(argv=None):

@@ -138,10 +138,25 @@ def _node_rows(rows, x, shift=0):
     ]
 
 
+# A compiled row takes several hundred bytes (about 700 at a 17-entry prefix),
+# so one request may compile at most this many.
+_ROW_GUARD = 2**19
+
+
+def _mt_row_count(k, length):
+    """Rows of a k-term system over entry prefixes of the given length: a block
+    tuple is s chosen entries cut into k nonempty runs, in comb(s-1, k-1) ways."""
+    return sum(math.comb(length, s) * math.comb(s - 1, k - 1) for s in range(k, length + 1))
+
+
+def _check_rows(count, length):
+    if count > _ROW_GUARD:
+        raise ValueError("a %d-entry prefix would compile %d rows; too large" % (length, count))
+
+
 def _mt_rows(a, length):
     """Compiled rows of the a-system over entry prefixes of the given length,
     one per block tuple."""
-    _check_budget((len(a) + 1) ** length, "block tuples of a %d-entry prefix" % length)
     return _compile_rows(
         (({t: a[i] for i, f in enumerate(tup) for t in f}, None)
          for tup in block_tuples(length, len(a) - 1)),
@@ -155,7 +170,6 @@ def _fs_rows(length):
     The rows ending at d are {d}, then each subset of the earlier entries in
     the order in which adding one entry at a time first builds it, plus d.
     """
-    _check_budget(2**length, "finite sums of a %d-entry prefix" % length)
     subsets = []  # every nonempty subset of range(d), in that order
     rows = []
     for d in range(length):
@@ -613,6 +627,8 @@ def check_separation(col, a, b, prefix_len, value_bound, node_budget=None):
     if prefix_len < len(a) or prefix_len < len(b):
         # one side's image is empty at this prefix length, so no witness
         return SeparationReport("none-within-bounds", None, None, 0)
+    _check_rows(_mt_row_count(len(a), prefix_len) + _mt_row_count(len(b), prefix_len),
+                prefix_len)
     a_rows, b_rows = _mt_rows(a, prefix_len), _mt_rows(b, prefix_len)
     classes_cache = {}
     try:
@@ -649,6 +665,7 @@ def translate_witness(col, a, prefix_len, b_bound, x_bound, node_budget=None, wo
     if workers < 1:
         raise ValueError("need at least one worker")
     budget = node_budget if node_budget is not None else node_budget_default()
+    _check_rows(2**prefix_len - 1 + _mt_row_count(len(a), prefix_len), prefix_len)
     fs_top = _fs_rows(prefix_len)
     mt_top = _mt_rows(a, prefix_len)
     span = range(1, x_bound + 1)

@@ -4,6 +4,8 @@ import time
 import pytest
 
 from ripr.cli import (
+    _COLOURINGS,
+    _FAMILIES,
     ExperimentSpec,
     canonical,
     load_matrix,
@@ -35,6 +37,9 @@ def test_parse_family_slugs():
         parse_family("zzz")
     with pytest.raises(ValueError):
         parse_family("f")  # missing width argument
+    for surplus in ("f:3:9", "schur:1", "mt:2,1:4:3:1", "mpc:2,2,1:1"):
+        with pytest.raises(ValueError):
+            parse_family(surplus)
 
 
 def test_parse_colouring_slugs():
@@ -45,6 +50,9 @@ def test_parse_colouring_slugs():
         parse_colouring("nope:1")
     with pytest.raises(ValueError):
         parse_colouring("notrapid:6:1")  # base not prime
+    for surplus in ("mod:3:1", "alpha:2:2", "notrapid:7:1,2:3"):
+        with pytest.raises(ValueError):
+            parse_colouring(surplus)
 
 
 def test_load_matrix_formats(tmp_path):
@@ -257,6 +265,74 @@ def test_main_rejects_enumerations_past_the_guard(capsys):
         assert time.monotonic() - start < 1, argv
         assert code == 2 and out == "", argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["separate", "--a", "1", "--b", "-1", "--colouring", "mod:2",
+     "--prefix", "21", "--bound", "3"],
+    ["translate-search", "--a", "1", "--colouring", "mod:2",
+     "--prefix", "21", "--bbound", "3", "--xbound", "3"],
+])
+def test_main_rejects_prefixes_past_the_row_guard(argv, capsys):
+    # one-term systems have few candidates per entry but 2**21 - 1 rows each
+    start = time.monotonic()
+    code, out, err = _capture(capsys, argv)
+    assert time.monotonic() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "rows" in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--family", "f:3:9", "--colouring", "mod:2", "--bound", "3"],
+    ["search", "--family", "schur:1", "--colouring", "mod:2", "--bound", "3"],
+    ["search", "--family", "f:3", "--colouring", "mod:3:1", "--bound", "3"],
+    ["gen", "mt:2,1:4:3:1"],
+])
+def test_main_rejects_surplus_slug_fields(argv, capsys):
+    code, out, err = _capture(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "takes" in err and err.count("\n") == 1, err
+
+
+# one valid text per gen/colour flag, so that every table entry builds
+_FLAG_TEXTS = {
+    "gen": {"width": "5", "rows": "3", "coeffs": "1,2", "m": "2", "p": "2", "c": "1",
+            "total": "3", "entry-bound": "2", "n": "3", "k": "3"},
+    "colour": {"modulus": "3", "b": "2", "c": "3", "ratio": "3/2", "p": "7", "coeffs": "1,2"},
+}
+
+
+def _flag_forms(command, name, table):
+    """(flag argv, slug) of table entry name, for each count of optional fields given."""
+    fields = table[name][1:]
+    texts = _FLAG_TEXTS[command]
+    required = sum(not f.optional for f in fields)
+    for given in range(required, len(fields) + 1):
+        argv = [t for f in fields[:given] for flag in f.flags for t in ("--" + flag, texts[flag])]
+        slug = ":".join([name] + [",".join(texts[flag] for flag in f.flags)
+                                  for f in fields[:given]])
+        yield argv, slug
+
+
+@pytest.mark.parametrize("name", list(_FAMILIES))
+def test_gen_flags_equal_the_slug(name, capsys):
+    for argv, slug in _flag_forms("gen", name, _FAMILIES):
+        code, out, err = _capture(capsys, ["gen", name] + argv)
+        assert code == 0, (argv, err)
+        assert json.loads(out)["params"]["family"] == slug
+        assert _capture(capsys, ["gen", slug]) == (0, out, "")
+
+
+@pytest.mark.parametrize("kind", list(_COLOURINGS))
+def test_colour_flags_equal_the_slug(kind, capsys):
+    numbers = [1, 2, 7, 2500, 282477650]
+    for argv, slug in _flag_forms("colour", kind, _COLOURINGS):
+        code, out, err = _capture(
+            capsys, ["colour", "--kind", kind] + argv + [str(x) for x in numbers]
+        )
+        assert code == 0, (argv, err)
+        assert out == canonical(run(ExperimentSpec(
+            "colour", {"colouring": slug, "numbers": numbers})))
 
 
 def test_main_force_enumerates_images_only_as_deep_as_the_walk(tmp_path, capsys):

@@ -23,6 +23,7 @@ from ripr.ratcore import DimensionMismatch, FiniteMatrix, SparseRow, apply, imag
 from ripr.search import (
     _compile_rows,
     _fs_rows,
+    _mt_row_count,
     _mt_rows,
     _node_rows,
     _realizable_images,
@@ -291,6 +292,13 @@ def _compiled_values(by_top, x):
         for base, top, den, tag in _node_rows(rows, x):
             out.append((tag, Fraction(base + top * x[d], den)))
     return out
+
+
+def test_mt_row_count_matches_block_tuples():
+    # the row guard counts the rows a request compiles before compiling them
+    for k in range(1, 5):
+        for n in range(9):
+            assert _mt_row_count(k, n) == sum(1 for _ in block_tuples(n, k - 1)), (k, n)
 
 
 def test_compiled_rows_match_images():
