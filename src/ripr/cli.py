@@ -18,6 +18,7 @@ in-band.
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -126,11 +127,13 @@ def _slug_grammar(name, fields):
     return text + "]" * sum(f.optional for f in fields)
 
 
-def _parse_slug(table, what, slug):
+def _slug_fields(table, what, slug):
+    """(name, converted value of each field given) of a slug; a comma group's
+    value is the list of its flags' values."""
     name, *texts = str(slug).split(":")
     if name not in table:
         raise ValueError("unknown %s %r" % (what, name))
-    build, *fields = table[name]
+    fields = table[name][1:]
     if not sum(not f.optional for f in fields) <= len(texts) <= len(fields):
         raise ValueError("%s %r takes %s" % (what, name, _slug_grammar(name, fields)))
     values = []
@@ -141,11 +144,27 @@ def _parse_slug(table, what, slug):
         group = [f.convert(t) for t in text.split(",") if t.strip() != ""]
         if len(group) != len(f.flags):
             raise ValueError("%s %r needs %s in one field" % (what, name, ",".join(f.flags)))
-        values += group
+        values.append(group)
+    return name, values
+
+
+def _parse_slug(table, what, slug):
+    name, values = _slug_fields(table, what, slug)
+    build, *fields = table[name]
+    args = []
+    for f, value in zip(fields, values):
+        args += value if len(f.flags) > 1 else [value]
     try:
-        return build(*values)
+        return build(*args)
     except (IndexError, TypeError) as e:
         raise ValueError("bad arguments for %s %r: %s" % (what, name, e))
+
+
+def _canonical_slug(table, what, slug):
+    """The slug spelled from its converted fields: mt:2, 1:4 is mt:2,1:4."""
+    name, values = _slug_fields(table, what, slug)
+    return ":".join([name] + [",".join(map(str, v)) if isinstance(v, list) else str(v)
+                              for v in values])
 
 
 def parse_family(slug):
@@ -378,6 +397,22 @@ _HANDLERS = {
 }
 
 
+# params holding a slug, with the table that spells it
+_FAMILY_PARAM = (_FAMILIES, "matrix family")
+_SLUG_PARAMS = {"family": _FAMILY_PARAM, "aFamily": _FAMILY_PARAM, "bFamily": _FAMILY_PARAM,
+                "cFamily": _FAMILY_PARAM, "colouring": (_COLOURINGS, "colouring")}
+
+
+def _echoed(params):
+    """params with every slug in its canonical spelling, so that equal requests
+    echo equal params."""
+    out = dict(params)
+    for key, (table, what) in _SLUG_PARAMS.items():
+        if out.get(key):
+            out[key] = _canonical_slug(table, what, out[key])
+    return out
+
+
 def run(spec, timing=False):
     """Execute an experiment spec and return the report dict."""
     handler = _HANDLERS.get(spec.command)
@@ -385,7 +420,8 @@ def run(spec, timing=False):
         raise ValueError("unknown command %r" % spec.command)
     start = time.monotonic()
     body = handler(spec.params)
-    report = {"schemaVersion": SCHEMA_VERSION, "command": spec.command, "params": spec.params}
+    report = {"schemaVersion": SCHEMA_VERSION, "command": spec.command,
+              "params": _echoed(spec.params)}
     report.update(body)
     if timing:
         report["timing"] = {"wallMs": int((time.monotonic() - start) * 1000)}
@@ -444,7 +480,10 @@ def _add_slug_flags(sp, table):
         sp.add_argument("--" + flag, type=int if convert is int else None)
 
 
-def _build_parser():
+@functools.cache
+def _parser():
+    """The argument parser, built on first use and kept for the process:
+    building it costs more than parsing a small request."""
     ap = argparse.ArgumentParser(prog="ripr", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
     threads_help = (
@@ -587,8 +626,7 @@ def _spec_from_args(args):
 
 
 def main(argv=None):
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "diff":
             with open(args.left) as fh:

@@ -5,7 +5,7 @@ yields equal matrices with rows in the same order, so serialized output is
 byte-stable.  Row budgets truncate the enumeration, never reorder it.
 """
 
-from itertools import combinations, product
+from itertools import chain, combinations, islice, product
 
 from .ratcore import FiniteMatrix, SparseRow
 from .seqs import coeff_seq, compress
@@ -16,6 +16,17 @@ _ENUM_GUARD = 10**7
 def _check_budget(count, what):
     if count > _ENUM_GUARD:
         raise ValueError("%s would enumerate %d candidates; too large" % (what, count))
+
+
+# Rows (or columns) one matrix may be built with, and rows one search may
+# compile: a row takes several hundred bytes (about 700 compiled at a
+# 17-entry prefix), so a request just inside the guard needs 300-400 MiB.
+_BUILD_GUARD = 2**19
+
+
+def _check_built(count, unit, what):
+    if count > _BUILD_GUARD:
+        raise ValueError("%s would build %d %s; too large" % (what, count, unit))
 
 
 def finite_sums_row(i):
@@ -47,11 +58,13 @@ def pairwise_sum_rows(column_bound, row_budget=None):
     """Finite-sums rows with at most two ones: single entries and pairwise sums."""
     if column_bound < 1:
         raise ValueError("need at least one column")
-    rows = [SparseRow({c: 1}) for c in range(column_bound)]
-    rows += [SparseRow({c: 1, d: 1}) for c, d in combinations(range(column_bound), 2)]
-    if row_budget is not None:
-        rows = rows[:row_budget]
-    return FiniteMatrix(rows, column_bound)
+    # the rows a slice [:row_budget] of all of them would keep
+    count = len(range(column_bound * (column_bound + 1) // 2)[:row_budget])
+    _check_built(count, "rows", "pairwise_sum_rows")
+    singles = ({c: 1} for c in range(column_bound))
+    pairs = ({c: 1, d: 1} for c, d in combinations(range(column_bound), 2))
+    return FiniteMatrix([SparseRow(r) for r in islice(chain(singles, pairs), count)],
+                        column_bound)
 
 
 def milliken_taylor_rows(a, column_bound, row_budget=None):
@@ -143,6 +156,7 @@ def doubling_block_matrix(n, width=None):
     """Rows doubling_block_row(0..n-1) over 2^n columns."""
     if n < 1:
         raise ValueError("need at least one row")
+    _check_built(2**n, "columns", "doubling_block_matrix")
     if width is None:
         width = 2**n
     return FiniteMatrix([doubling_block_row(i, width) for i in range(n)], width)
@@ -150,6 +164,7 @@ def doubling_block_matrix(n, width=None):
 
 def doubling_system(n):
     """Identity stacked on the doubling rows; width 2^n."""
+    _check_built(2**n + n, "rows", "doubling_system")
     return stack(identity_matrix(2**n), doubling_block_matrix(n))
 
 

@@ -21,15 +21,24 @@ a row with a non-integral coefficient is scaled to integers and its value
 is kept only when the division by the scale is exact.  Forcing colours the
 values 1, 2, 3, ... themselves and files each image under its largest value
 instead.
+
+When a node's rows include x_d itself (see _unit_rows), its candidates are
+only the values that row can accept: the common colour's class once that
+colour is known (find_monochromatic, translate_witness), or the target
+values (find_dominated_assignment); see _Classes.  The span values skipped
+still count one node each, so witnesses, node counts and budget stops are
+exactly those of the walk over the whole span.  Separation narrows the same
+way but counts only the members it tries.
 """
 
 import math
 import os
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .matgen import _check_budget, is_first_entries
+from .matgen import _BUILD_GUARD, _check_budget, is_first_entries
 from .ratcore import DimensionMismatch, ImageSet, SparseRow, apply, image
 from .seqs import block_tuples, coeff_seq, rationally_proportional
 
@@ -60,9 +69,108 @@ class _Counter:
         if self.n > self.limit:
             raise _BudgetHit
 
+    def skip(self, k):
+        """Count k nodes at once, stopping where k single steps would."""
+        self.n += k
+        if self.n > self.limit:
+            self.n = self.limit + 1
+            raise _BudgetHit
+
 
 class _BudgetHit(Exception):
     pass
+
+
+_NO_COLOUR = object()  # equal to no colour
+
+
+class _Classes:
+    """The colour classes of a span of values, coloured lazily in increasing
+    order.
+
+    index[c] holds, in increasing order, the values of colour c among those
+    reached so far: a 1-tuple while the class has one member (most classes
+    of the gap colouring never get a second), then an array of machine
+    integers (a list where the span runs past them).  A value reached costs
+    8 bytes, one array entry, in any class of two or more; only one colour
+    object per class is kept.  A walk that counts the values it skips as
+    nodes colours at most one value past its node budget; one that does not
+    colours the whole span first.  The colouring must be defined on every
+    value reached, with hashable colours: values are coloured ahead of the
+    walk, some that the walk would have pruned before colouring them
+    included.
+    """
+
+    __slots__ = ("colour_of", "span", "reached", "index")
+
+    def __init__(self, colour_of, span):
+        self.colour_of = colour_of
+        self.span = span
+        self.reached = span.start  # every value below it is coloured and filed
+        self.index = {}
+
+    def members(self, c, counter=None):
+        """The values of colour c, in increasing order.
+
+        Given a counter, each span value before, between and after them
+        counts as one node tried and pruned, and _BudgetHit is raised exactly
+        where stepping through them one at a time would raise it.
+        """
+        if counter is not None:
+            return self._counted(c, counter)
+        self._reach(self.span.stop)
+        return self.index.get(c, ())
+
+    def _counted(self, c, counter):
+        span = self.span
+        found = self.index.get(c, ())
+        k = 0  # the position in found of the next member
+        nxt = span.start  # the next value to try
+        while True:
+            if k >= len(found):
+                # filing a second member replaces a 1-tuple, maybe in another walk
+                found = self.index.get(c, ())
+            if k < len(found):
+                v = found[k]
+            else:
+                # colour no value past the one at which the budget runs out
+                stop = min(span.stop, nxt + counter.limit - counter.n + 1)
+                v = self._reach(stop, c)
+                if v is None:
+                    counter.skip(stop - nxt)  # raises unless the span ran out
+                    return
+            if v > nxt:
+                counter.skip(v - nxt)
+            yield v
+            nxt = v + 1
+            k += 1
+
+    def _reach(self, stop, c=_NO_COLOUR):
+        """Colour and file the values from the first one not reached up to
+        stop, until one has colour c; return it, or None."""
+        colour_of, index = self.colour_of, self.index
+        for v in range(self.reached, stop):
+            k = colour_of(v)
+            found = index.get(k)
+            if found is None:
+                index[k] = (v,)
+            else:
+                if type(found) is tuple:
+                    found = index[k] = (array("q", found) if self.span.stop <= 2**63
+                                        else list(found))
+                found.append(v)
+            if k == c:
+                self.reached = v + 1
+                return v
+        self.reached = max(self.reached, stop)
+        return None
+
+
+def _unit_rows(by_top):
+    """Per depth d, whether a compiled row is x_d itself.  That row's value is
+    the candidate, so only the values it accepts can pass at d."""
+    return [any(not lower and top == 1 and den == 1 for lower, top, den, _ in rows)
+            for rows in by_top]
 
 
 @dataclass(frozen=True)
@@ -138,11 +246,6 @@ def _node_rows(rows, x, shift=0):
     ]
 
 
-# A compiled row takes several hundred bytes (about 700 at a 17-entry prefix),
-# so one request may compile at most this many.
-_ROW_GUARD = 2**19
-
-
 def _mt_row_count(k, length):
     """Rows of a k-term system over entry prefixes of the given length: a block
     tuple is s chosen entries cut into k nonempty runs, in comb(s-1, k-1) ways."""
@@ -150,7 +253,8 @@ def _mt_row_count(k, length):
 
 
 def _check_rows(count, length):
-    if count > _ROW_GUARD:
+    # a compiled row takes several hundred bytes (about 700 at a 17-entry prefix)
+    if count > _BUILD_GUARD:
         raise ValueError("a %d-entry prefix would compile %d rows; too large" % (length, count))
 
 
@@ -245,9 +349,15 @@ def find_monochromatic(A, col, cfg, workers=1):
     colour_of = col.colour
     assignment = [0] * A.width
     rows_now = [None] * A.width  # rows_now[d]: the rows ending at d, at the current node
+    unit = _unit_rows(by_top)
+    classes = _Classes(colour_of, span)
+    counter = _Counter(cfg.node_budget)
 
     def candidates(d, state):
         rows_now[d] = _node_rows(by_top[d], assignment)
+        if unit[d] and state[0] is not None:
+            # x_d prunes every value outside the common colour's class
+            return classes.members(state[0], counter)
         return span
 
     def extend(d, v, state):
@@ -277,7 +387,6 @@ def find_monochromatic(A, col, cfg, workers=1):
                     return None
         return common, owner
 
-    counter = _Counter(cfg.node_budget)
     leaf, exhausted = _first_leaf(
         _backtrack(A.width, candidates, extend, counter, (None, {}))
     )
@@ -427,9 +536,15 @@ def find_dominated_assignment(A, B, x, y_bound, node_budget=None):
     span = range(1, y_bound + 1)
     assignment = [0] * B.width
     rows_now = [None] * B.width
+    unit = _unit_rows(by_top)
+    inside = _Classes(target.__contains__, span)
+    counter = _Counter(budget)
 
     def candidates(d, state):
         rows_now[d] = _node_rows(by_top[d], assignment)
+        if unit[d]:
+            # y_d prunes every value outside the target
+            return inside.members(True, counter)
         return span
 
     def extend(d, v, state):
@@ -444,7 +559,6 @@ def find_dominated_assignment(A, B, x, y_bound, node_budget=None):
                 return None
         return state
 
-    counter = _Counter(budget)
     leaf, exhausted = _first_leaf(
         _backtrack(B.width, candidates, extend, counter, True)
     )
@@ -542,35 +656,27 @@ def refute_nonconstant(c, x):
     return SparseRow({m: c + r, n: -r})
 
 
-def _colour_classes(col, bound, cache):
-    """colour -> sorted members of [1, bound]; built once per search."""
-    if cache:
-        return cache
-    classes = {}
-    for v in range(1, bound + 1):
-        classes.setdefault(col.colour(v), []).append(v)
-    cache.update(classes)
-    return cache
-
-
-def _mono_prefixes(col, a, by_top, bound, counter, classes_cache, pinned=None):
+def _mono_prefixes(col, by_top, classes, counter, pinned=None):
     """Yield (prefix, colour) for every distinct-entry prefix whose system
     image consists of positive integers and is monochromatic in a
     non-reserved colour (the pinned colour if given).  by_top holds the
-    compiled rows of the a-system, whose image is nonempty at this prefix
-    length.  Lexicographic order."""
+    compiled rows of the system, whose image is nonempty at this prefix
+    length; classes colours the span of entries.  Lexicographic order.
+
+    Where x_d is a row, entry d tries only the common colour's class once
+    that colour is known, and the values skipped are not counted as nodes.
+    """
     length = len(by_top)
-    singles = a.terms == (1,)
-    span = range(1, bound + 1)
+    unit = _unit_rows(by_top)
+    span = classes.span
     colour_of = col.colour
     prefix = [0] * length
     rows_now = [None] * length
 
     def candidates(d, state):
         rows_now[d] = _node_rows(by_top[d], prefix)
-        # with a = <1> each entry is a value, so only the common colour's class can follow
-        if singles and state[0] is not None:
-            return _colour_classes(col, bound, classes_cache).get(state[0], ())
+        if unit[d] and state[0] is not None:
+            return classes.members(state[0])
         return span
 
     def extend(d, v, state):
@@ -596,7 +702,7 @@ def _mono_prefixes(col, a, by_top, bound, counter, classes_cache, pinned=None):
                 return None
         return (cur,)
 
-    # length >= len(a), so every complete prefix has a nonempty image and a colour
+    # the image is nonempty, so every complete prefix has a colour
     for (colour,) in _backtrack(length, candidates, extend, counter, (pinned,)):
         yield tuple(prefix), colour
 
@@ -630,12 +736,10 @@ def check_separation(col, a, b, prefix_len, value_bound, node_budget=None):
     _check_rows(_mt_row_count(len(a), prefix_len) + _mt_row_count(len(b), prefix_len),
                 prefix_len)
     a_rows, b_rows = _mt_rows(a, prefix_len), _mt_rows(b, prefix_len)
-    classes_cache = {}
+    classes = _Classes(col.colour, range(1, value_bound + 1))
     try:
-        for x, colour in _mono_prefixes(col, a, a_rows, value_bound, counter, classes_cache):
-            for y, _ in _mono_prefixes(
-                col, b, b_rows, value_bound, counter, classes_cache, pinned=colour
-            ):
+        for x, colour in _mono_prefixes(col, a_rows, classes, counter):
+            for y, _ in _mono_prefixes(col, b_rows, classes, counter, pinned=colour):
                 return SeparationReport(
                     "witness", None, {"x": x, "y": y, "colour": colour}, counter.n
                 )
@@ -672,10 +776,16 @@ def translate_witness(col, a, prefix_len, b_bound, x_bound, node_budget=None, wo
     colour_of = col.colour
     prefix = [0] * prefix_len
     rows_now = [None] * prefix_len
+    unit = _unit_rows(fs_top)  # the finite sum x_d at every depth
+    classes = _Classes(colour_of, span)
+    counter = _Counter(budget)
 
     def candidates(d, state):
         # the finite sums gaining entry d come first, then the translated a-values b + ...
         rows_now[d] = _node_rows(fs_top[d], prefix) + _node_rows(mt_top[d], prefix, state[0])
+        if unit[d] and state[1] is not None:
+            # x_d prunes every value outside the common colour's class
+            return classes.members(state[1], counter)
         return span
 
     def extend(d, v, state):
@@ -699,7 +809,6 @@ def translate_witness(col, a, prefix_len, b_bound, x_bound, node_budget=None, wo
                 return None
         return b, cur
 
-    counter = _Counter(budget)
     for b in range(1, b_bound + 1):
         leaf, exhausted = _first_leaf(
             _backtrack(prefix_len, candidates, extend, counter, (b, None))

@@ -1,7 +1,13 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
+
+import ripr
 
 from ripr.cli import (
     _COLOURINGS,
@@ -292,6 +298,51 @@ def test_main_rejects_surplus_slug_fields(argv, capsys):
     code, out, err = _capture(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "takes" in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv, key, slug, same", [
+    (["gen", "mt", "--coeffs", "2, 1", "--width", "4"], "family", "mt:2,1:4",
+     ["gen", "mt:2,1:4"]),
+    (["gen", "mt:2, 1:4"], "family", "mt:2,1:4", ["gen", "mt:2,1:4"]),
+    (["colour", "--kind", "alpha", "--ratio", "06", "5"], "colouring", "alpha:6",
+     ["colour", "--kind", "alpha", "--ratio", "6", "5"]),
+    (["search", "--family", "f:2", "--colouring", "mod: 2", "--bound", "4"], "colouring",
+     "mod:2", ["search", "--family", "f:2", "--colouring", "mod:2", "--bound", "4"]),
+])
+def test_reports_echo_canonical_slugs(argv, key, slug, same, capsys):
+    # equal requests spelled differently give byte-identical reports
+    code, out, err = _capture(capsys, argv)
+    assert code == 0, err
+    assert json.loads(out)["params"][key] == slug
+    assert _capture(capsys, same) == (0, out, "")
+
+
+def test_one_process_answers_like_fresh_processes(monkeypatch, capsys):
+    # main reuses one parser: a usage error must leave nothing behind for later requests
+    argvs = [
+        ["search", "--family", "f:2", "--bound", "x"],
+        ["gen", "f:2"],
+        ["colour", "--kind", "mod", "--modulus", "3", "4", "5"],
+        ["force", "--family", "schur", "--colours", "2", "--nmax", "8"],
+        ["bogus"],
+        ["search", "--family", "f:2", "--colouring", "mod:2", "--bound", "4",
+         "--distinct-entries"],
+        ["separate", "--a", "1", "--b", "2,1", "--colouring", "mod:2", "--prefix", "2",
+         "--bound", "6"],
+        ["colour", "--kind", "mod", "5"],
+        ["gen", "mt", "--coeffs", "2,1", "--width", "3"],
+    ]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal width
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(ripr.__file__).parents[1]))
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        out = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "ripr.cli", *argv], capture_output=True,
+                               text=True, env=env, timeout=60)
+        assert (code, out.out, out.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 # one valid text per gen/colour flag, so that every table entry builds

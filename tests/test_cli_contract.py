@@ -2,7 +2,13 @@
 
 argv is drawn from the subcommand grammar, with bad slugs, zero and negative
 bounds and malformed matrix or report files mixed in.  Sizes stay small so
-every run is quick; --threads stays small too (the searches start no threads).
+every run is quick, except where a draw aims at a size guard: gen and force
+families about 3000 wide (matrix generation and force image enumeration) and
+separate/translate-search prefixes 19-24 (compiled rows); those must be
+refused quickly.  A prefix of 18 is refused only with a system of two or more
+terms (one-term systems compile 2^19 - 2 rows, just inside the guard, in
+about 7 s), so it is pinned in the examples.  --threads stays small (the
+searches start no threads).
 """
 
 import contextlib
@@ -74,6 +80,18 @@ def _family():
     return st.one_of(sized, coeffs, triples, rowsum, junk)
 
 
+def _wide_family():
+    """Families about 3000 wide (or with about 3000 rows), past the size guards."""
+    wide = st.integers(2990, 3010)
+    sized = st.tuples(
+        st.sampled_from(["f", "fprime", "identity", "ap", "doubling", "doublingsys"]), wide,
+    ).map(lambda t: "%s:%d" % t)
+    coeffs = st.tuples(st.sampled_from(["mt", "band"]), _ints(1, 2, 3), wide).map(
+        lambda t: "%s:%s:%d" % t)
+    rowsum = st.tuples(st.integers(1, 3), wide).map(lambda t: "rowsum:%d:%d" % t)
+    return st.one_of(sized, coeffs, rowsum)
+
+
 def _colouring():
     return st.one_of(
         st.tuples(st.sampled_from(["mod", "digitprofile"]), st.integers(-1, 5)).map(
@@ -111,12 +129,14 @@ def _argv():
     lit = lambda *t: st.just(list(t))
     budget = _opt("--budget", st.integers(-1, 60))
     threads = _opt("--threads", st.integers(-1, 3))
-    gen = _cat(lit("gen"), st.one_of(_family(), st.sampled_from(
-        ["f", "fprime", "mt", "band", "mpc", "deuber", "doubling", "identity", "grouped",
-         "rowsum", "ap", "nope"])).map(lambda f: [f]),
-        _opt("--width", small), _opt("--rows", small), _opt("--coeffs", _ints(-2, 2)),
+    wide = st.one_of(small, st.integers(2990, 3010))
+    prefix = st.one_of(st.integers(-1, 3), st.integers(19, 24))
+    gen = _cat(lit("gen"), st.one_of(_family(), _wide_family(), st.sampled_from(
+        ["f", "fprime", "mt", "band", "mpc", "deuber", "doubling", "doublingsys", "identity",
+         "grouped", "rowsum", "ap", "nope"])).map(lambda f: [f]),
+        _opt("--width", wide), _opt("--rows", small), _opt("--coeffs", _ints(-2, 2)),
         _opt("--m", small), _opt("--p", small), _opt("--c", small),
-        _opt("--total", small), _opt("--entry-bound", small), _opt("--n", small),
+        _opt("--total", small), _opt("--entry-bound", small), _opt("--n", wide),
         _opt("--k", small))
     image = _cat(lit("image"), _matrix(), _opt("--x", st.sampled_from(
         ["1,2", "1/2,3", "1/0", "", "a", "1,2,3,4", "-1,0"])))
@@ -134,10 +154,11 @@ def _argv():
                   _opt("--bound", pos), _opt("--min-entry", small),
                   st.sampled_from([[], ["--distinct-entries"], ["--distinct-image"]]),
                   threads, budget)
-    force = _cat(lit("force"), _matrix(), _opt("--colours", st.integers(-1, 3)),
-                 _opt("--nmax", st.integers(-2, 7)), budget)
+    force = _cat(lit("force"), st.one_of(_matrix(), _wide_family().map(
+        lambda f: ["--family", f])), _opt("--colours", st.integers(-1, 3)),
+        _opt("--nmax", st.integers(-2, 7)), budget)
     separate = _cat(lit("separate"), _opt("--a", _ints()), _opt("--b", _ints()),
-                    _opt("--colouring", _colouring()), _opt("--prefix", st.integers(-1, 3)),
+                    _opt("--colouring", _colouring()), _opt("--prefix", prefix),
                     _opt("--bound", pos), budget)
     dominate = _cat(lit("dominate"), _matrix("a"), _matrix("b"),
                     _opt("--x", st.sampled_from(["1,2", "1,4,16", "0", "1/2,1", "", "1"])),
@@ -147,7 +168,7 @@ def _argv():
                  st.sampled_from([[], ["--make"]]), _opt("--x", _ints(-1, 600)),
                  _opt("--seeds", _ints(-1, 9)))
     translate = _cat(lit("translate-search"), _opt("--a", _ints()),
-                     _opt("--colouring", _colouring()), _opt("--prefix", st.integers(-1, 3)),
+                     _opt("--colouring", _colouring()), _opt("--prefix", prefix),
                      _opt("--bbound", st.integers(-1, 4)), _opt("--xbound", pos),
                      threads, budget)
     diff = _cat(lit("diff"), st.lists(st.sampled_from(sorted(FILES) + ["missing"]).map(
@@ -214,6 +235,17 @@ def test_cli_contract_examples(files):
           "0"], 2),
         (["separate", "--a", "1", "--b", "2,1", "--colouring", "mod:2", "--prefix", "0",
           "--bound", "-1"], 0),
+        # the size guards: force image enumeration, matrix generation, compiled rows
+        (["force", "--family", "identity:3000", "--colours", "2", "--nmax", "5"], 2),
+        (["gen", "fprime:3000"], 2),
+        (["gen", "doublingsys", "--n", "3000"], 2),
+        (["separate", "--a", "1", "--b", "2,1", "--colouring", "mod:2", "--prefix", "18",
+          "--bound", "3"], 2),
+        (["translate-search", "--a", "2,1", "--colouring", "mod:2", "--prefix", "18",
+          "--bbound", "1", "--xbound", "3"], 2),
+        (["translate-search", "--a", "1", "--colouring", "mod:2", "--prefix", "19",
+          "--bbound", "1", "--xbound", "3"], 2),
+        (["gen", "fprime:3000:5"], 0),
     ]
     for argv, want in cases:
         out, err = io.StringIO(), io.StringIO()

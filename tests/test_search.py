@@ -4,8 +4,10 @@ from itertools import product
 
 import pytest
 
+import ripr.search as search_module
 from ripr.cli import parse_family
 from ripr.colourings import (
+    Colouring,
     digit_profile_colouring,
     mod_colouring,
     negabase_gap_colouring,
@@ -283,6 +285,101 @@ def test_translate_rational_coefficients_match_brute_oracle():
     # finite sums 6, 3, 9 and 3 + 6/2 + 3 = 9, all 0 mod 3
     res = translate_witness(mod_colouring(3), (half, 1), 2, 4, 12)
     assert res.witness == (3, (6, 3), 0)
+
+
+def _every_budget(run):
+    """run(budget) at every budget from 0 to one past the unbudgeted node count."""
+    full = run(None)
+    return [run(budget) for budget in range(full.nodes + 2)] + [full]
+
+
+def test_class_candidates_match_span_walk(monkeypatch):
+    # The oracle is the walk that tries every span value at every depth: with no
+    # depth marked as holding the unit row x_d, no search narrows its candidates.
+    half = Fraction(1, 2)
+    mono = [
+        (finite_sums_matrix(3), mod_colouring(3),
+         SearchConfig(12, min_entry=2, distinct_entries=True)),
+        (finite_sums_matrix(3), mod_colouring(4), SearchConfig(9, distinct_entries=True)),
+        (finite_sums_matrix(3), ratio_colouring(2),
+         SearchConfig(8, distinct_entries=True, distinct_image=True)),
+        (schur_matrix(), mod_colouring(5), SearchConfig(12, min_entry=2, distinct_image=True)),
+        # values past the machine integers of the class arrays
+        (schur_matrix(), mod_colouring(4), SearchConfig(2**63 + 6, min_entry=2**63 - 3)),
+        # a rational row ahead of x_1 at its depth
+        (FiniteMatrix.from_dense([[1, 0], [half, 1], [0, 1]]), mod_colouring(5),
+         SearchConfig(12)),
+        (FiniteMatrix.from_dense([[1, 1], [0, 1], [half, half]]), mod_colouring(4),
+         SearchConfig(12, distinct_entries=True)),
+        # x_1 / 2 is no unit row, so entry 1 tries the whole span
+        (FiniteMatrix.from_dense([[1, 0], [0, half], [1, 1]]), ratio_colouring(2),
+         SearchConfig(12)),
+        # no unit row at all: nothing narrows
+        (FiniteMatrix.from_dense([[2, 1], [1, 3]]), mod_colouring(7), SearchConfig(6)),
+    ]
+    dominate = [
+        (finite_sums_matrix(3), arithmetic_progression_matrix(3), (1, 4, 16), 22),
+        (finite_sums_matrix(3), parse_family("fprime:3"), (1, 3, 9), 14),
+        (finite_sums_matrix(2), FiniteMatrix.from_dense([[1, 1], [0, 2]]), (1, 3), 9),
+        # y_0 and y_1 walk the same target values, none of them a witness
+        (finite_sums_matrix(3), FiniteMatrix.from_dense([[1, 0], [0, 1], [1, 1], [1, 2]]),
+         (1, 4, 16), 21),
+    ]
+    translate = [
+        (mod_colouring(3), (2, 1), 3, 3, 8),
+        (mod_colouring(4), (1,), 2, 3, 9),
+        (digit_profile_colouring(5), (2, 1), 2, 2, 12),
+    ]
+
+    def runs():
+        out = []
+        for A, col, cfg in mono:
+            out.append(_every_budget(lambda budget: find_monochromatic(A, col, SearchConfig(
+                cfg.variable_bound, cfg.min_entry, cfg.distinct_entries, cfg.distinct_image,
+                node_budget=budget))))
+        for A, B, x, y_bound in dominate:
+            out.append(_every_budget(
+                lambda budget: find_dominated_assignment(A, B, x, y_bound, budget)))
+        for col, a, length, b_bound, x_bound in translate:
+            out.append(_every_budget(
+                lambda budget: translate_witness(col, a, length, b_bound, x_bound, budget)))
+        return out
+
+    got = runs()
+    monkeypatch.setattr(search_module, "_unit_rows", lambda by_top: [False] * len(by_top))
+    want = runs()
+    assert got == want
+    witnesses = [r[-1].witness is not None for r in got]
+    assert any(witnesses) and not all(witnesses)
+
+
+def test_sparse_class_walk_colours_about_its_budget(monkeypatch):
+    # Colour 0 is the class {1}: once x_0 = 1 sets it, entry 1 has no member
+    # left, and the walk must stop colouring where the budget runs out, not
+    # colour the rest of the span.
+    coloured = []
+
+    def sparse():
+        coloured.clear()
+        return Colouring("sparse", lambda x: coloured.append(x) or int(x > 1))
+
+    budget, bound = 500, 10**6
+
+    def runs():
+        out = [find_monochromatic(schur_matrix(), sparse(),
+                                  SearchConfig(bound, distinct_entries=True, node_budget=budget))]
+        out.append(len(coloured))
+        out.append(translate_witness(sparse(), (2, 1), 2, 1, bound, budget))
+        out.append(len(coloured))
+        return out
+
+    got = runs()
+    monkeypatch.setattr(search_module, "_unit_rows", lambda by_top: [False] * len(by_top))
+    want = runs()
+    assert got[0::2] == want[0::2]
+    assert got[0].nodes == got[2].nodes == budget + 1 and not got[0].exhausted
+    # each node colours its row values; the walk ahead adds about one value per node
+    assert got[1] <= want[1] + budget + 2 and got[3] <= want[3] + budget + 2
 
 
 def _compiled_values(by_top, x):
