@@ -46,6 +46,7 @@ def finite_sums_matrix(v):
     if v < 1:
         raise ValueError("need at least one column")
     _check_budget(2**v, "finite_sums_matrix")
+    _check_built(2**v - 1, "rows", "finite_sums_matrix")
     return FiniteMatrix([finite_sums_row(i) for i in range(2**v - 1)], v)
 
 

@@ -20,7 +20,9 @@ costs one multiply-add per row.  Rows stay on plain ints:
 a row with a non-integral coefficient is scaled to integers and its value
 is kept only when the division by the scale is exact.  Forcing colours the
 values 1, 2, 3, ... themselves and files each image under its largest value
-instead.
+instead; it finds the images on the same integer rows, walking the columns
+depth first with running partial sums that bound each entry from above (see
+_forcing_images).
 
 When a node's rows include x_d itself (see _unit_rows), its candidates are
 only the values that row can accept: the common colour's class once that
@@ -36,7 +38,6 @@ import os
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .matgen import _BUILD_GUARD, _check_budget, is_first_entries
 from .ratcore import DimensionMismatch, ImageSet, SparseRow, apply, image
@@ -403,12 +404,20 @@ class ForcingResult:
     nodes: int
 
 
-def _realizable_images(A, n):
-    """Distinct value sets of A at assignments whose image lies in [1, n].
+def _image_plan(A):
+    """Compile A for _forcing_images, once per forcing search.
 
-    Requires non-negative entries with every column positively used, so the
-    assignment space is finite and the enumeration is complete; a space past
-    matgen's enumeration guard raises ValueError.
+    Forcing needs non-negative entries with every column positively used, so
+    that finitely many assignments have their image in [1, n]; other
+    matrices raise ValueError.  Rows are scaled to integers by _compile_rows.
+    A row's running sum up to column j sits in one slot of a flat list; slot
+    0 holds 0, the sum before a row's first column.  Returns (col_max, reads,
+    opens, closes, slots), where col_max[j] is the largest entry of column j
+    and, for the rows reading column j: reads[j] holds (prev, coef, rest, den)
+    for each, prev being the slot of its sum before j, coef its scaled entry
+    at j and rest the sum of its scaled entries after j; opens[j] holds
+    (prev, slot, coef) for those that read a later column, and closes[j]
+    (prev, coef, den) for those that end at j.
     """
     col_max = {}
     for r in A.rows:
@@ -417,30 +426,84 @@ def _realizable_images(A, n):
         for c, v in r.items():
             if v < 0:
                 raise ValueError("forcing search needs non-negative entries")
-            if v > 0:
-                col_max[c] = max(col_max.get(c, 0), v)
+            col_max[c] = max(col_max.get(c, 0), v)
     for c in range(A.width):
         if c not in col_max:
             raise ValueError("column %d carries no positive entry" % c)
-    ranges = []
-    for c in range(A.width):
-        top = int(Fraction(n, 1) / col_max[c])
-        if top < 1:
-            return []
-        ranges.append(range(1, top + 1))
-    _check_budget(math.prod(map(len, ranges)), "forcing images up to n=%d" % n)
+    reads = [[] for _ in range(A.width)]
+    opens = [[] for _ in range(A.width)]
+    closes = [[] for _ in range(A.width)]
+    slots = 1
+    for d, rows in enumerate(_compile_rows(((r, None) for r in A.rows), A.width)):
+        for lower, top, den, _ in rows:
+            rest = top + sum(c for _, c in lower)
+            prev = 0
+            for j, coef in lower:
+                rest -= coef
+                reads[j].append((prev, coef, rest, den))
+                opens[j].append((prev, slots, coef))
+                prev = slots
+                slots += 1
+            reads[d].append((prev, top, 0, den))
+            closes[d].append((prev, top, den))
+    return [col_max[c] for c in range(A.width)], reads, opens, closes, slots
+
+
+def _forcing_images(plan, n):
+    """The distinct images, as frozensets, of the planned matrix at the
+    assignments whose image lies in [1, n].
+
+    The whole column box, x_j <= n // col_max[j], must pass matgen's
+    enumeration guard (ValueError otherwise), but the walk visits only the
+    assignments that can still fit.  Entries are non-negative and every x_j
+    is at least 1, so x_j stops at the least (n * den - sum - rest) // coef
+    over the rows reading column j, sum being the row's value so far.  A row
+    ending at j keeps x_j only when its value divides exactly by den.  The
+    walk keeps its own stack, so its depth is not limited by recursion.
+    """
+    col_max, reads, opens, closes, slots = plan
+    tops = [n // m for m in col_max]
+    if min(tops) < 1:
+        return set()
+    _check_budget(math.prod(tops), "forcing images up to n=%d" % n)
+    limits = [[(prev, coef, n * den - rest) for prev, coef, rest, den in col] for col in reads]
+    last = len(col_max) - 1
+    acc = [0] * slots
+    sets = [frozenset()] * (last + 1)  # sets[j]: the values of the rows ending before column j
+    its = [None] * (last + 1)  # its[j]: the values left for x_j
     out = set()
-    for x in product(*ranges):
-        vals = []
-        for r in A.rows:
-            v = _as_int_value(r.dot(x))
-            if v is None or v > n:
-                vals = None
+
+    def values(j):
+        # every later entry of a row adds at least its coefficient
+        return iter(range(1, min((lim - acc[prev]) // coef for prev, coef, lim in limits[j]) + 1))
+
+    j = 0
+    its[0] = values(0)
+    while True:
+        for v in its[j]:
+            new = []
+            for prev, coef, den in closes[j]:
+                val = acc[prev] + coef * v
+                if den != 1:
+                    val, rem = divmod(val, den)
+                    if rem:
+                        break
+                new.append(val)
+            else:
+                s = sets[j].union(new)
+                if j == last:
+                    out.add(s)
+                    continue
+                for prev, slot, coef in opens[j]:
+                    acc[slot] = acc[prev] + coef * v
+                j += 1
+                sets[j] = s
+                its[j] = values(j)
                 break
-            vals.append(v)
-        if vals is not None:
-            out.add(frozenset(vals))
-    return sorted(out, key=lambda s: sorted(s))
+        else:
+            if j == 0:
+                return out
+            j -= 1
 
 
 def forcing_bound(A, colours, n_max, node_budget=None):
@@ -452,11 +515,15 @@ def forcing_bound(A, colours, n_max, node_budget=None):
     whose largest value is d + 1 has every other value coloured c.  The
     images are enumerated as the walk deepens, each time it first passes the
     values enumerated so far (up to twice its depth, at most n_max), and
-    filed under their largest value.  Colours open in first-use order (entry
-    d tries 0 up to one past the largest colour used before it), which loses
-    nothing because renaming colours preserves avoidance.  Avoidance is
-    closed under prefixes, so if the deepest depth reached is L < n_max the
-    bound is L + 1; a walk that colours all of [1, n_max] gives bound None.
+    filed under their largest value.  Each enumeration walks the columns of
+    integer rows compiled once (_image_plan) and visits only the assignments
+    whose partial sums still fit (_forcing_images); the 10^7 enumeration
+    guard still bounds the whole column box.  Colours open in first-use
+    order (entry d tries 0 up to one past the largest colour used before
+    it), which loses nothing because renaming colours preserves avoidance.
+    Avoidance is closed under prefixes, so if the deepest depth reached is
+    L < n_max the bound is L + 1; a walk that colours all of [1, n_max] gives
+    bound None.
 
     certificate[i] is the colour of i + 1.  It is the first colouring of
     [1, L] the walk reaches: the lexicographically least avoiding colouring,
@@ -472,6 +539,7 @@ def forcing_bound(A, colours, n_max, node_budget=None):
     if n_max < 1:
         return ForcingResult(None, (), 0)
     budget = node_budget if node_budget is not None else node_budget_default()
+    plan = _image_plan(A)
     by_top = {}  # d -> per image with largest value d + 1, the indices of its other values
     reach = 0  # by_top holds every image inside [1, reach]
     colour = []  # colour[i]: the colour of i + 1 on the current path
@@ -482,7 +550,7 @@ def forcing_bound(A, colours, n_max, node_budget=None):
         nonlocal reach
         if d >= reach:
             old, reach = reach, min(n_max, 2 * (d + 1))
-            for s in _realizable_images(A, reach):
+            for s in _forcing_images(plan, reach):
                 m = max(s)
                 if m > old:
                     by_top.setdefault(m - 1, []).append(

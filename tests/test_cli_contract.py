@@ -237,6 +237,8 @@ def test_cli_contract_examples(files):
           "--bound", "-1"], 0),
         # the size guards: force image enumeration, matrix generation, compiled rows
         (["force", "--family", "identity:3000", "--colours", "2", "--nmax", "5"], 2),
+        (["force", "--family", "identity:18", "--colours", "2", "--nmax", "3"], 0),
+        (["gen", "f:20"], 2),
         (["gen", "fprime:3000"], 2),
         (["gen", "doublingsys", "--n", "3000"], 2),
         (["separate", "--a", "1", "--b", "2,1", "--colouring", "mod:2", "--prefix", "18",
@@ -249,7 +251,9 @@ def test_cli_contract_examples(files):
     ]
     for argv, want in cases:
         out, err = io.StringIO(), io.StringIO()
+        start = time.monotonic()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
+        assert time.monotonic() - start < RUN_SECONDS, argv
         assert code == want, (argv, err.getvalue())
         assert len(err.getvalue().splitlines()) == (1 if want else 0), (argv, err.getvalue())

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import ripr.matgen as matgen
 from ripr.matgen import (
     add_translation_column,
     arithmetic_progression_matrix,
@@ -44,6 +45,16 @@ def test_finite_sums_matrix_and_schur():
     assert F2.dense() == [(1, 0), (0, 1), (1, 1)]
     assert schur_matrix() == F2
     assert len(finite_sums_matrix(3)) == 7
+
+
+def test_finite_sums_matrix_build_guard(monkeypatch):
+    # f:20 would build 2**20 - 1 rows, past the build guard of 2**19
+    with pytest.raises(ValueError, match="1048575 rows"):
+        finite_sums_matrix(20)
+    # f:19 is inside it; stub the rows to see that without building them
+    monkeypatch.setattr(matgen, "finite_sums_row", lambda i: None)
+    monkeypatch.setattr(matgen, "FiniteMatrix", lambda rows, width: (len(rows), width))
+    assert finite_sums_matrix(19) == (2**19 - 1, 19)
 
 
 def test_pairwise_sum_rows():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -14,6 +15,7 @@ from ripr.colourings import (
     ratio_colouring,
 )
 from ripr.matgen import (
+    _check_budget,
     arithmetic_progression_matrix,
     deuber_matrix,
     finite_sums_matrix,
@@ -27,8 +29,10 @@ from ripr.search import (
     _fs_rows,
     _mt_row_count,
     _mt_rows,
+    _as_int_value,
+    _forcing_images,
+    _image_plan,
     _node_rows,
-    _realizable_images,
     BudgetExceeded,
     SearchConfig,
     check_separation,
@@ -498,6 +502,79 @@ def test_forcing_rejects_bad_matrices():
         forcing_bound(schur_matrix(), 2, 8, node_budget=5)
 
 
+def _realizable_images(A, n):
+    """Brute-force oracle for _forcing_images: the distinct value sets of A at
+    assignments whose image lies in [1, n], from a sweep of the whole column
+    box with one exact row product per row.
+
+    Requires non-negative entries with every column positively used, so the
+    assignment space is finite and the enumeration is complete; a space past
+    matgen's enumeration guard raises ValueError.
+    """
+    col_max = {}
+    for r in A.rows:
+        if not r:
+            raise ValueError("zero rows never have positive images")
+        for c, v in r.items():
+            if v < 0:
+                raise ValueError("forcing search needs non-negative entries")
+            if v > 0:
+                col_max[c] = max(col_max.get(c, 0), v)
+    for c in range(A.width):
+        if c not in col_max:
+            raise ValueError("column %d carries no positive entry" % c)
+    ranges = []
+    for c in range(A.width):
+        top = int(Fraction(n, 1) / col_max[c])
+        if top < 1:
+            return []
+        ranges.append(range(1, top + 1))
+    _check_budget(math.prod(map(len, ranges)), "forcing images up to n=%d" % n)
+    out = set()
+    for x in product(*ranges):
+        vals = []
+        for r in A.rows:
+            v = _as_int_value(r.dot(x))
+            if v is None or v > n:
+                vals = None
+                break
+            vals.append(v)
+        if vals is not None:
+            out.add(frozenset(vals))
+    return sorted(out, key=lambda s: sorted(s))
+
+
+_FORCING_FAMILIES = ["schur", "ap:3", "ap:4", "f:2", "mpc:2,2,1"]
+
+
+def _random_non_negative_matrix(rng):
+    width = rng.randint(1, 3)
+    entries = [0, 0, 1, 2, 3, Fraction(1, 2), Fraction(3, 2), Fraction(2, 3), Fraction(5, 4)]
+    rows = [[rng.choice(entries) for _ in range(width)] for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.3:
+        rows.append(list(rng.choice(rows)))
+    return FiniteMatrix.from_dense(rows, allow_duplicate_rows=True)
+
+
+def test_forcing_images_match_brute_oracle():
+    rng = random.Random(11)
+    mats = [parse_family(f) for f in _FORCING_FAMILIES]
+    mats += [FiniteMatrix.from_dense([(1,)]), FiniteMatrix.from_dense([(1,), (1000,)])]
+    mats += [_random_non_negative_matrix(rng) for _ in range(200)]
+    planned = 0
+    for A in mats:
+        try:
+            plan = _image_plan(A)
+        except ValueError:
+            with pytest.raises(ValueError):
+                _realizable_images(A, 1)
+            continue
+        planned += 1
+        for n in range(1, 13):
+            assert _forcing_images(plan, n) == set(_realizable_images(A, n)), (A.rows, n)
+    assert planned >= 100
+
+
 def _forcing_sweep(A, colours, n_max):
     """Brute-force oracle for forcing_bound: for each n in turn, sweep every
     colouring of [1, n] with 1 coloured 0 in lexicographic order against
@@ -517,7 +594,7 @@ def _forcing_sweep(A, colours, n_max):
     return None, cert
 
 
-@pytest.mark.parametrize("family", ["schur", "ap:3", "ap:4", "f:2", "mpc:2,2,1"])
+@pytest.mark.parametrize("family", _FORCING_FAMILIES)
 def test_forcing_matches_sweep_oracle(family):
     A = parse_family(family)
     for colours in (1, 2, 3):
@@ -551,6 +628,27 @@ def test_forcing_walk_deeper_than_the_recursion_limit():
     res = forcing_bound(FiniteMatrix.from_dense([(1,), (1000,)]), 2, 1500)
     assert res.bound is None
     assert res.certificate == tuple(int(v == 1000) for v in range(1, 1501))
+
+
+def test_forcing_images_wider_than_the_recursion_limit():
+    # 1000 x_j for 1500 columns: the image {1000} appears at n = 1000, so the
+    # enumeration at reach 1001 walks all 1500 columns
+    A = FiniteMatrix([SparseRow({j: 1000}) for j in range(1500)], 1500)
+    res = forcing_bound(A, 1, 1001)
+    assert (res.bound, res.certificate, res.nodes) == (1000, (0,) * 999, 1000)
+
+
+@pytest.mark.parametrize("family, colours, n_max, bound, certificate, nodes", [
+    ("schur", 3, 13, None, (0, 1, 1, 0, 2, 2, 0, 2, 2, 0, 1, 1, 0), 406),
+    ("ap:4", 2, 20, None, (0, 0, 0, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 0, 0, 1, 0, 1), 84),
+    ("ap:3", 3, 12, None, (0, 0, 1, 0, 0, 1, 1, 2, 2, 0, 0, 1), 20),
+    ("schur", 2, 8, 5, (0, 1, 1, 0), 11),
+    ("ap:3", 2, 12, 9, (0, 0, 1, 1, 0, 0, 1, 1), 79),
+])
+def test_forcing_pinned_benchmark_answers(family, colours, n_max, bound, certificate, nodes):
+    # the force-sweep benchmark requests; the benchmark itself does not compare nodes
+    res = forcing_bound(parse_family(family), colours, n_max)
+    assert (res.bound, res.certificate, res.nodes) == (bound, certificate, nodes)
 
 
 def test_dominated_assignment_positive_case():
