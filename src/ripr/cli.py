@@ -192,7 +192,12 @@ def _matrix_from(params, family_key="family", file_key="matrixFile"):
         return parse_family(params[family_key])
     if params.get(file_key):
         return load_matrix(params[file_key])
-    raise ValueError("need --%s or a matrix file" % family_key.lower())
+    raise ValueError("need %s or %s" % (_flag(family_key), _flag(file_key)))
+
+
+def _flag(key):
+    """The flag that a report param comes from: aFamily is --a-family."""
+    return "--" + "".join("-" + ch.lower() if ch.isupper() else ch for ch in key)
 
 
 def parse_colouring(slug):
@@ -232,7 +237,9 @@ def _h_digits(params):
     if abs(base) < 2:
         raise ValueError("|base| must be at least 2")
     gap = None
-    if params.get("gap"):
+    if params.get("gap") is not None:
+        if base > 0:
+            raise ValueError("--gap needs a negative base")
         g = parse_int_list(params["gap"])
         if len(g) != 5:
             raise ValueError("gap pattern needs five digits: upper,l0,l1,l2,l3")
@@ -534,18 +541,15 @@ def _parser():
     se.add_argument("--budget", type=int)
 
     do = sub.add_parser("dominate", help="probe for an image inside a target image")
-    do.add_argument("--a-family")
-    do.add_argument("--a-file")
-    do.add_argument("--b-family")
-    do.add_argument("--b-file")
+    _add_matrix_args(do, "a")
+    _add_matrix_args(do, "b")
     do.add_argument("--x", required=True)
     do.add_argument("--ybound", type=int, required=True)
     do.add_argument("--budget", type=int)
 
     ce = sub.add_parser("certify", help="check a linear image-partition-regularity witness")
     for pfx in ("a", "b", "c"):
-        ce.add_argument("--%s-family" % pfx)
-        ce.add_argument("--%s-file" % pfx)
+        _add_matrix_args(ce, pfx)
 
     ra = sub.add_parser("rapid", help="check or build rapidly growing sequences")
     ra.add_argument("--p", type=int, required=True)

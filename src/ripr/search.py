@@ -24,13 +24,20 @@ instead; it finds the images on the same integer rows, walking the columns
 depth first with running partial sums that bound each entry from above (see
 _forcing_images).
 
+The four image searches ask one question, whether the compiled rows can
+all take positive values in one colour class, and share one walk for it,
+_mono_walk.  find_monochromatic runs it as it stands.
+find_dominated_assignment colours a value by whether the target holds it,
+pins the common colour to True and allows repeated entries.
+translate_witness keeps b in one entry past the prefix, which each
+translated a-row reads with its own scale.  check_separation runs one walk
+per side, with the reserved colours refused as the common colour.
+
 When a node's rows include x_d itself (see _unit_rows), its candidates are
-only the values that row can accept: the common colour's class once that
-colour is known (find_monochromatic, translate_witness), or the target
-values (find_dominated_assignment); see _Classes.  The span values skipped
-still count one node each, so witnesses, node counts and budget stops are
-exactly those of the walk over the whole span.  Separation narrows the same
-way but counts only the members it tries.
+only the values of the common colour's class once that colour is known; see
+_Classes.  The span values skipped still count one node each, so witnesses,
+node counts and budget stops are exactly those of the walk over the whole
+span.  Separation narrows the same way but counts only the members it tries.
 """
 
 import math
@@ -57,13 +64,13 @@ def node_budget_default():
 
 
 class _Counter:
-    """Node counter with a hard limit."""
+    """Node counter with a hard limit; a limit of None is the default budget."""
 
     __slots__ = ("n", "limit")
 
     def __init__(self, limit):
         self.n = 0
-        self.limit = limit
+        self.limit = node_budget_default() if limit is None else limit
 
     def step(self):
         self.n += 1
@@ -234,17 +241,14 @@ def _compile_rows(rows, width):
     return by_top
 
 
-def _node_rows(rows, x, shift=0):
+def _node_rows(rows, x):
     """Fix the part of each row of one depth that the earlier entries set.
 
     Returns (base, top, den, tag) per row, with base the scaled partial sum
-    over the columns below the top plus shift; entry v at the top column
-    then gives the value (base + top * v) / den.
+    over the columns below the top; entry v at the top column then gives the
+    value (base + top * v) / den.
     """
-    return [
-        (shift * den + sum(c * x[j] for j, c in lower), top, den, tag)
-        for lower, top, den, tag in rows
-    ]
+    return [(sum(c * x[j] for j, c in lower), top, den, tag) for lower, top, den, tag in rows]
 
 
 def _mt_row_count(k, length):
@@ -331,6 +335,66 @@ def _first_leaf(leaves):
         return None, False
 
 
+def _mono_walk(by_top, x, classes, counter, colour=None, distinct_entries=True,
+               distinct_image=False, reserved=frozenset(), count_skips=True):
+    """Yield, in lexicographic order, the common colour of every assignment
+    of the len(by_top) leading entries of x, drawn from classes.span, at which
+    the compiled rows of by_top all take positive integer values of one
+    colour under classes.colour_of.  x holds the assignment when a colour is
+    yielded; rows may also read entries of x past the walked ones.
+
+    colour, if given, is the common colour from the start; otherwise the
+    first row value sets it, and a reserved colour is pruned there.
+    distinct_entries forbids repeated entries; distinct_image forbids two rows
+    with different tags taking one value.  Where x_d is a row, entry d tries
+    only the common colour's class once the colour is known (see _unit_rows);
+    count_skips counts each span value skipped as one node tried.
+    """
+    span, colour_of = classes.span, classes.colour_of
+    unit = _unit_rows(by_top)
+    skips = counter if count_skips else None
+    rows_now = [None] * len(by_top)  # rows_now[d]: the rows ending at d, at the current node
+
+    def candidates(d, state):
+        rows_now[d] = _node_rows(by_top[d], x)
+        if unit[d] and state[0] is not None:
+            # x_d prunes every value outside the common colour's class
+            return classes.members(state[0], skips)
+        return span
+
+    def extend(d, v, state):
+        # state: (common colour so far or None, value -> tag of the row taking it)
+        if distinct_entries and v in x[:d]:
+            return None
+        x[d] = v
+        common, owner = state
+        for base, top, den, tag in rows_now[d]:
+            val = base + top * v
+            if den != 1:
+                val, rem = divmod(val, den)
+                if rem:
+                    return None
+            if val < 1:
+                return None
+            c = colour_of(val)
+            if common is None:
+                if c in reserved:
+                    return None
+                common = c
+            elif c != common:
+                return None
+            if distinct_image:
+                seen = owner.get(val)
+                if seen is None:
+                    owner = {**owner, val: tag}  # siblings keep the parent's map
+                elif seen != tag:
+                    return None
+        return common, owner
+
+    for common, _ in _backtrack(len(by_top), candidates, extend, counter, (colour, {})):
+        yield common
+
+
 def find_monochromatic(A, col, cfg, workers=1):
     """Lexicographically least assignment within bounds whose image is a set
     of positive integers of one colour, or absence.
@@ -345,56 +409,15 @@ def find_monochromatic(A, col, cfg, workers=1):
     if not all(A.rows):
         return SearchResult(None, 0, True)  # a zero row can never take a positive value
     by_top = _compile_rows(((r, r.key()) for r in A.rows), A.width)
-    span = range(cfg.min_entry, cfg.variable_bound + 1)
-    distinct_entries, distinct_image = cfg.distinct_entries, cfg.distinct_image
-    colour_of = col.colour
-    assignment = [0] * A.width
-    rows_now = [None] * A.width  # rows_now[d]: the rows ending at d, at the current node
-    unit = _unit_rows(by_top)
-    classes = _Classes(colour_of, span)
+    x = [0] * A.width
+    classes = _Classes(col.colour, range(cfg.min_entry, cfg.variable_bound + 1))
     counter = _Counter(cfg.node_budget)
-
-    def candidates(d, state):
-        rows_now[d] = _node_rows(by_top[d], assignment)
-        if unit[d] and state[0] is not None:
-            # x_d prunes every value outside the common colour's class
-            return classes.members(state[0], counter)
-        return span
-
-    def extend(d, v, state):
-        # state: (common colour so far or None, value -> key of the row taking it)
-        if distinct_entries and v in assignment[:d]:
-            return None
-        assignment[d] = v
-        common, owner = state
-        for base, top, den, key in rows_now[d]:
-            val = base + top * v
-            if den != 1:
-                val, rem = divmod(val, den)
-                if rem:
-                    return None
-            if val < 1:
-                return None
-            c = colour_of(val)
-            if common is None:
-                common = c
-            elif c != common:
-                return None
-            if distinct_image:
-                seen = owner.get(val)
-                if seen is None:
-                    owner = {**owner, val: key}  # siblings keep the parent's map
-                elif seen != key:
-                    return None
-        return common, owner
-
-    leaf, exhausted = _first_leaf(
-        _backtrack(A.width, candidates, extend, counter, (None, {}))
-    )
-    if leaf is None:
+    colour, exhausted = _first_leaf(_mono_walk(
+        by_top, x, classes, counter, distinct_entries=cfg.distinct_entries,
+        distinct_image=cfg.distinct_image))
+    if colour is None:
         return SearchResult(None, counter.n, exhausted)
-    witness = SearchWitness(tuple(assignment), image(A, assignment), leaf[0])
-    return SearchResult(witness, counter.n, True)
+    return SearchResult(SearchWitness(tuple(x), image(A, x), colour), counter.n, True)
 
 
 @dataclass(frozen=True)
@@ -538,7 +561,7 @@ def forcing_bound(A, colours, n_max, node_budget=None):
         raise ValueError("matrix has no rows")
     if n_max < 1:
         return ForcingResult(None, (), 0)
-    budget = node_budget if node_budget is not None else node_budget_default()
+    counter = _Counter(node_budget)
     plan = _image_plan(A)
     by_top = {}  # d -> per image with largest value d + 1, the indices of its other values
     reach = 0  # by_top holds every image inside [1, reach]
@@ -574,7 +597,6 @@ def forcing_bound(A, colours, n_max, node_budget=None):
             synced = d + 1
         return max(opened, c + 1)
 
-    counter = _Counter(budget)
     try:
         leaf = next(_backtrack(n_max, candidates, extend, counter, 0), None)
     except _BudgetHit:
@@ -600,40 +622,15 @@ def find_dominated_assignment(A, B, x, y_bound, node_budget=None):
     if not all(B.rows):
         return SearchResult(None, 0, True)
     by_top = _compile_rows(((r, None) for r in B.rows), B.width)
-    budget = node_budget if node_budget is not None else node_budget_default()
-    span = range(1, y_bound + 1)
-    assignment = [0] * B.width
-    rows_now = [None] * B.width
-    unit = _unit_rows(by_top)
-    inside = _Classes(target.__contains__, span)
-    counter = _Counter(budget)
-
-    def candidates(d, state):
-        rows_now[d] = _node_rows(by_top[d], assignment)
-        if unit[d]:
-            # y_d prunes every value outside the target
-            return inside.members(True, counter)
-        return span
-
-    def extend(d, v, state):
-        assignment[d] = v
-        for base, top, den, _ in rows_now[d]:
-            val = base + top * v
-            if den != 1:
-                val, rem = divmod(val, den)
-                if rem:
-                    return None
-            if val not in target:  # the target holds positive integers only
-                return None
-        return state
-
-    leaf, exhausted = _first_leaf(
-        _backtrack(B.width, candidates, extend, counter, True)
-    )
-    if leaf is None:
+    y = [0] * B.width
+    inside = _Classes(target.__contains__, range(1, y_bound + 1))
+    counter = _Counter(node_budget)
+    # a value's colour is whether the target holds it; every row must take a held value
+    found, exhausted = _first_leaf(_mono_walk(by_top, y, inside, counter, colour=True,
+                                              distinct_entries=False))
+    if found is None:
         return SearchResult(None, counter.n, exhausted)
-    witness = SearchWitness(tuple(assignment), image(B, assignment), None)
-    return SearchResult(witness, counter.n, True)
+    return SearchResult(SearchWitness(tuple(y), image(B, y), None), counter.n, True)
 
 
 @dataclass(frozen=True)
@@ -724,57 +721,6 @@ def refute_nonconstant(c, x):
     return SparseRow({m: c + r, n: -r})
 
 
-def _mono_prefixes(col, by_top, classes, counter, pinned=None):
-    """Yield (prefix, colour) for every distinct-entry prefix whose system
-    image consists of positive integers and is monochromatic in a
-    non-reserved colour (the pinned colour if given).  by_top holds the
-    compiled rows of the system, whose image is nonempty at this prefix
-    length; classes colours the span of entries.  Lexicographic order.
-
-    Where x_d is a row, entry d tries only the common colour's class once
-    that colour is known, and the values skipped are not counted as nodes.
-    """
-    length = len(by_top)
-    unit = _unit_rows(by_top)
-    span = classes.span
-    colour_of = col.colour
-    prefix = [0] * length
-    rows_now = [None] * length
-
-    def candidates(d, state):
-        rows_now[d] = _node_rows(by_top[d], prefix)
-        if unit[d] and state[0] is not None:
-            return classes.members(state[0])
-        return span
-
-    def extend(d, v, state):
-        # state: (common colour so far or None,); a pinned search starts with its colour
-        if v in prefix[:d]:
-            return None
-        prefix[d] = v
-        cur = state[0]
-        for base, top, den, _ in rows_now[d]:
-            val = base + top * v
-            if den != 1:
-                val, rem = divmod(val, den)
-                if rem:
-                    return None
-            if val < 1:
-                return None
-            c = colour_of(val)
-            if cur is None:
-                if col.is_reserved(c):
-                    return None
-                cur = c
-            elif c != cur:
-                return None
-        return (cur,)
-
-    # the image is nonempty, so every complete prefix has a colour
-    for (colour,) in _backtrack(length, candidates, extend, counter, (pinned,)):
-        yield tuple(prefix), colour
-
-
 @dataclass(frozen=True)
 class SeparationReport:
     outcome: str
@@ -796,8 +742,7 @@ def check_separation(col, a, b, prefix_len, value_bound, node_budget=None):
     r = rationally_proportional(a, b)
     if r is not None:
         return SeparationReport("proportional", r, None, 0)
-    budget = node_budget if node_budget is not None else node_budget_default()
-    counter = _Counter(budget)
+    counter = _Counter(node_budget)
     if prefix_len < len(a) or prefix_len < len(b):
         # one side's image is empty at this prefix length, so no witness
         return SeparationReport("none-within-bounds", None, None, 0)
@@ -805,22 +750,18 @@ def check_separation(col, a, b, prefix_len, value_bound, node_budget=None):
                 prefix_len)
     a_rows, b_rows = _mt_rows(a, prefix_len), _mt_rows(b, prefix_len)
     classes = _Classes(col.colour, range(1, value_bound + 1))
+    x, y = [0] * prefix_len, [0] * prefix_len
+    # both images are nonempty at this prefix length, so every complete prefix has a colour
     try:
-        for x, colour in _mono_prefixes(col, a_rows, classes, counter):
-            for y, _ in _mono_prefixes(col, b_rows, classes, counter, pinned=colour):
+        for colour in _mono_walk(a_rows, x, classes, counter, reserved=col.reserved,
+                                 count_skips=False):
+            for _ in _mono_walk(b_rows, y, classes, counter, colour, count_skips=False):
                 return SeparationReport(
-                    "witness", None, {"x": x, "y": y, "colour": colour}, counter.n
+                    "witness", None, {"x": tuple(x), "y": tuple(y), "colour": colour}, counter.n
                 )
     except _BudgetHit:
         return SeparationReport("budget", None, None, counter.n)
     return SeparationReport("none-within-bounds", None, None, counter.n)
-
-
-@dataclass(frozen=True)
-class TranslateResult:
-    witness: object
-    nodes: int
-    exhausted: bool
 
 
 def translate_witness(col, a, prefix_len, b_bound, x_bound, node_budget=None, workers=1):
@@ -836,53 +777,19 @@ def translate_witness(col, a, prefix_len, b_bound, x_bound, node_budget=None, wo
         raise ValueError("prefix must be at least as long as the coefficients")
     if workers < 1:
         raise ValueError("need at least one worker")
-    budget = node_budget if node_budget is not None else node_budget_default()
+    counter = _Counter(node_budget)
     _check_rows(2**prefix_len - 1 + _mt_row_count(len(a), prefix_len), prefix_len)
-    fs_top = _fs_rows(prefix_len)
-    mt_top = _mt_rows(a, prefix_len)
-    span = range(1, x_bound + 1)
-    colour_of = col.colour
-    prefix = [0] * prefix_len
-    rows_now = [None] * prefix_len
-    unit = _unit_rows(fs_top)  # the finite sum x_d at every depth
-    classes = _Classes(colour_of, span)
-    counter = _Counter(budget)
-
-    def candidates(d, state):
-        # the finite sums gaining entry d come first, then the translated a-values b + ...
-        rows_now[d] = _node_rows(fs_top[d], prefix) + _node_rows(mt_top[d], prefix, state[0])
-        if unit[d] and state[1] is not None:
-            # x_d prunes every value outside the common colour's class
-            return classes.members(state[1], counter)
-        return span
-
-    def extend(d, v, state):
-        # state: (b, common colour so far or None)
-        if v in prefix[:d]:
-            return None
-        prefix[d] = v
-        b, cur = state
-        for base, top, den, _ in rows_now[d]:
-            val = base + top * v
-            if den != 1:
-                val, rem = divmod(val, den)
-                if rem:
-                    return None
-            if val < 1:
-                return None
-            c = colour_of(val)
-            if cur is None:
-                cur = c
-            elif c != cur:
-                return None
-        return b, cur
-
+    # b sits in x[prefix_len], read by each a-row at its scale: at depth d the
+    # finite sums gaining entry d come first, then the translated a-values b + ...
+    by_top = [fs + [(lower + ((prefix_len, den),), top, den, tag) for lower, top, den, tag in mt]
+              for fs, mt in zip(_fs_rows(prefix_len), _mt_rows(a, prefix_len))]
+    x = [0] * (prefix_len + 1)
+    classes = _Classes(col.colour, range(1, x_bound + 1))
     for b in range(1, b_bound + 1):
-        leaf, exhausted = _first_leaf(
-            _backtrack(prefix_len, candidates, extend, counter, (b, None))
-        )
-        if leaf is not None:
-            return TranslateResult((b, tuple(prefix), leaf[1]), counter.n, True)
+        x[prefix_len] = b
+        colour, exhausted = _first_leaf(_mono_walk(by_top, x, classes, counter))
+        if colour is not None:
+            return SearchResult((b, tuple(x[:prefix_len]), colour), counter.n, True)
         if not exhausted:
-            return TranslateResult(None, counter.n, False)
-    return TranslateResult(None, counter.n, True)
+            return SearchResult(None, counter.n, False)
+    return SearchResult(None, counter.n, True)

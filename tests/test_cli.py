@@ -221,6 +221,27 @@ def test_main_usage_errors(capsys):
     assert code == 2  # no family and no file
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["image", "--x", "1,2"], "--family or --matrix-file"),
+    (["dominate", "--b-family", "f:2", "--x", "1,2", "--ybound", "3"], "--a-family or --a-file"),
+    (["dominate", "--a-family", "f:2", "--x", "1,2", "--ybound", "3"], "--b-family or --b-file"),
+    (["certify", "--a-family", "f:2", "--b-family", "f:2"], "--c-family or --c-file"),
+])
+def test_missing_matrix_names_its_flags(capsys, argv, flags):
+    assert _capture(capsys, argv) == (2, "", "error: need %s\n" % flags)
+
+
+@pytest.mark.parametrize("base, gap, message", [
+    ("7", "1,1,0,0,0", "--gap needs a negative base"),
+    ("7", "", "--gap needs a negative base"),
+    ("-7", "", "gap pattern needs five digits: upper,l0,l1,l2,l3"),
+])
+def test_gap_pattern_is_never_ignored(capsys, base, gap, message):
+    # a positive base, or an empty pattern, used to drop the pattern silently and exit 0
+    argv = ["digits", "--base", base, "--gap", gap, "100"]
+    assert _capture(capsys, argv) == (2, "", "error: %s\n" % message)
+
+
 def test_main_bad_inputs_exit_2_with_one_error_line(tmp_path, capsys):
     no_rows = tmp_path / "no_rows.json"
     no_rows.write_text(json.dumps({"width": 2}))

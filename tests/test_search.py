@@ -13,6 +13,7 @@ from ripr.colourings import (
     mod_colouring,
     negabase_gap_colouring,
     ratio_colouring,
+    table_colouring,
 )
 from ripr.matgen import (
     _check_budget,
@@ -651,6 +652,34 @@ def test_forcing_pinned_benchmark_answers(family, colours, n_max, bound, certifi
     assert (res.bound, res.certificate, res.nodes) == (bound, certificate, nodes)
 
 
+def _mono_tables():
+    # the matrix-mono benchmark's colour tables at seed 0: three of 8 colours on [1, 1200]
+    rng = random.Random(0)
+    return [{v: rng.randrange(8) for v in range(1, 1201)} for _ in range(3)]
+
+
+def _mono_table_search(i):
+    cfg = SearchConfig(300, distinct_entries=True, node_budget=10**7)
+    return find_monochromatic(finite_sums_matrix(4), table_colouring(_mono_tables()[i]), cfg)
+
+
+@pytest.mark.parametrize("run, nodes", [
+    (lambda: _mono_table_search(0), 530700),
+    (lambda: _mono_table_search(1), 561300),
+    (lambda: _mono_table_search(2), 530700),
+    (lambda: find_dominated_assignment(
+        finite_sums_matrix(7), FiniteMatrix.from_dense([[1, 0], [0, 1], [1, 1], [1, 2]]),
+        [4**i for i in range(7)], 5461, 10**7), 699008),
+    (lambda: translate_witness(table_colouring(_mono_tables()[0]), (2, 1), 3, 20, 60, 10**7),
+     81840),
+], ids=["mono-0", "mono-1", "mono-2", "dominate", "translate"])
+def test_matrix_mono_pinned_benchmark_answers(run, nodes):
+    # the matrix-mono benchmark requests at seed 0, which walk most of their
+    # spans as counted skips; the benchmark itself does not compare nodes
+    res = run()
+    assert (res.witness, res.nodes, res.exhausted) == (None, nodes, True)
+
+
 def test_dominated_assignment_positive_case():
     A = finite_sums_matrix(2)
     B = FiniteMatrix.from_dense([(1, 0), (0, 1), (1, 1)])
@@ -788,6 +817,32 @@ def test_separation_budget():
     rep = check_separation(col, (1,), (2, 1), 3, 500, node_budget=20)
     assert rep.outcome == "budget"
     assert rep.nodes == 21
+
+
+def _mod3_reserving(colour):
+    return Colouring("mod3-reserved", lambda v: v % 3, reserved={colour})
+
+
+@pytest.mark.parametrize("col, a, b, length, bound, outcome, nodes", [
+    (mod_colouring(2), (1,), (2, 1), 2, 10, "witness", 12),
+    (mod_colouring(3), (Fraction(1, 2),), (2, 1), 2, 14, "witness", 51),
+    (mod_colouring(3), (1,), (1, -1), 2, 12, "witness", 54),
+    (mod_colouring(3), (2, 1), (1,), 2, 12, "witness", 48),  # the pinned b-side narrows
+    (digit_profile_colouring(5), (1,), (2, 1), 2, 30, "none-within-bounds", 62),
+    (_mod3_reserving(0), (1,), (2, 1), 2, 12, "none-within-bounds", 44),
+    (_mod3_reserving(1), (2, 1), (3, 1), 2, 8, "witness", 7),
+])
+def test_separation_at_every_budget(col, a, b, length, bound, outcome, nodes):
+    # Separation counts only the class members it tries, not the values it
+    # skips, so no other test pins where its budget stops: below the full
+    # count a budget stops one node past itself, from it on the answer is whole.
+    full = check_separation(col, a, b, length, bound)
+    assert (full.outcome, full.nodes) == (outcome, nodes)
+    for budget in range(nodes):
+        rep = check_separation(col, a, b, length, bound, budget)
+        assert (rep.outcome, rep.witness, rep.nodes) == ("budget", None, budget + 1)
+    for budget in (nodes, nodes + 1, 10 * nodes):
+        assert check_separation(col, a, b, length, bound, budget) == full
 
 
 def test_translate_witness_anchor():
