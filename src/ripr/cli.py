@@ -389,6 +389,16 @@ def _h_translate(params):
     return out
 
 
+def _h_diff(params):
+    reports = []
+    for side in ("left", "right"):
+        with open(params[side]) as fh:
+            reports.append(json.load(fh))
+    diffs = report_diff(*reports)
+    return {"identical": not diffs, "differences": diffs,
+            "outcome": "identical" if not diffs else "different"}
+
+
 _HANDLERS = {
     "gen": _h_gen,
     "image": _h_image,
@@ -401,6 +411,7 @@ _HANDLERS = {
     "certify": _h_certify,
     "rapid": _h_rapid,
     "translate-search": _h_translate,
+    "diff": _h_diff,
 }
 
 
@@ -632,23 +643,7 @@ def _spec_from_args(args):
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        if args.command == "diff":
-            with open(args.left) as fh:
-                left = json.load(fh)
-            with open(args.right) as fh:
-                right = json.load(fh)
-            diffs = report_diff(left, right)
-            report = {
-                "schemaVersion": SCHEMA_VERSION,
-                "command": "diff",
-                "params": {"left": args.left, "right": args.right},
-                "identical": not diffs,
-                "differences": diffs,
-                "outcome": "identical" if not diffs else "different",
-            }
-        else:
-            spec = _spec_from_args(args)
-            report = run(spec, timing=args.timing)
+        report = run(_spec_from_args(args), timing=args.timing)
     except (_UsageError, ValueError, DimensionMismatch, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

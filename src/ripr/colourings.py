@@ -1,9 +1,9 @@
 """Finite colourings of the positive integers, built for separation arguments.
 
-A Colouring is a total deterministic map on x >= 1 with a finite palette.
-Colour values are structured tuples rather than dense integers: the gap
-colouring's palette is astronomically large, but any one experiment only
-ever observes finitely many colours, so nothing is gained by numbering them.
+A Colouring is a total deterministic map on x >= 1.  Colour values are
+structured tuples rather than dense integers: the gap colouring takes
+astronomically many colours, but any one experiment only ever observes
+finitely many of them, so nothing is gained by numbering them.
 """
 
 from fractions import Fraction
@@ -15,10 +15,9 @@ class Colouring:
     """kind tags the construction; reserved lists colours that separation
     searches must not accept as a common colour (see check_separation)."""
 
-    def __init__(self, kind, fn, palette=None, reserved=frozenset(), params=None, memoize=False):
+    def __init__(self, kind, fn, reserved=frozenset(), params=None, memoize=False):
         self.kind = kind
         self._fn = fn
-        self.palette = palette
         self.reserved = frozenset(reserved)
         self.params = dict(params or {})
         self._memo = {} if memoize else None
@@ -48,7 +47,7 @@ def mod_colouring(m):
     """x mod m."""
     if m < 1:
         raise ValueError("modulus must be positive")
-    return Colouring("mod", lambda x: x % m, palette=frozenset(range(m)), params={"m": m})
+    return Colouring("mod", lambda x: x % m, params={"m": m})
 
 
 def table_colouring(table, default=None):
@@ -62,8 +61,7 @@ def table_colouring(table, default=None):
             raise ValueError("value %d not covered by the table" % x)
         return default
 
-    palette = frozenset(table.values()) | (frozenset() if default is None else {default})
-    return Colouring("table", fn, palette=palette)
+    return Colouring("table", fn)
 
 
 def _small_primes():
@@ -128,7 +126,6 @@ def prime_exponent_colouring(b, c):
     return Colouring(
         "prime-exponent",
         fn,
-        palette=frozenset(range(q)),
         params={"b": b, "c": c, "p": p, "q": q, "i": i, "j": j},
         memoize=True,
     )
@@ -166,15 +163,12 @@ def ratio_colouring(ratio):
             e += 1
         return e % 2
 
-    return Colouring(
-        "ratio", fn, palette=frozenset((0, 1)), params={"u": u, "v": v, "base": base}
-    )
+    return Colouring("ratio", fn, params={"u": u, "v": v, "base": base})
 
 
 def digit_profile_colouring(p):
     """Colours x by (first digit, top digit, digit below the top, top position
-    mod 3) of its ordinary base-p expansion.  Palette has at most 3p^3
-    colours."""
+    mod 3) of its ordinary base-p expansion: at most 3p^3 colours."""
     if p < 2:
         raise ValueError("base must be >= 2")
 
@@ -184,14 +178,7 @@ def digit_profile_colouring(p):
         below = e.digit(big - 1) if big >= 1 else 0
         return (e.digit(m), e.digit(big), below, big % 3)
 
-    palette = frozenset(
-        (em, eb, bl, r)
-        for em in range(1, p)
-        for eb in range(1, p)
-        for bl in range(p)
-        for r in range(3)
-    )
-    return Colouring("digit-profile", fn, palette=palette, params={"p": p}, memoize=True)
+    return Colouring("digit-profile", fn, params={"p": p}, memoize=True)
 
 
 def negabase_gap_colouring(p, coeffs):
@@ -245,7 +232,6 @@ def negabase_gap_colouring(p, coeffs):
     return Colouring(
         "notrapid",
         fn,
-        palette=None,
         reserved=frozenset({("small",)}),
         params={"p": p, "coeffs": coeffs},
         memoize=True,

@@ -92,6 +92,7 @@ def band_matrix(coeffs, nrows, width=None):
         raise ValueError("band needs a nonzero leading and trailing coefficient")
     if nrows < 1:
         raise ValueError("need at least one row")
+    _check_built(nrows, "rows", "band_matrix")
     need = nrows + len(coeffs) - 1
     if width is None:
         width = need
@@ -124,6 +125,7 @@ def mpc_matrix(m, p, c):
     if m < 1 or p < 1 or c < 1:
         raise ValueError("m, p, c must be positive")
     _check_budget((p + 1) ** m, "mpc_matrix")
+    _check_built(((p + 1) ** m - 1) // p, "rows", "mpc_matrix")
     return _first_entry_rows(m, c, range(p + 1))
 
 
@@ -135,6 +137,7 @@ def deuber_matrix(m, p, c):
     if m < 1 or p < 1 or c < 1:
         raise ValueError("m, p, c must be positive")
     _check_budget((2 * p + 1) ** m, "deuber_matrix")
+    _check_built(((2 * p + 1) ** m - 1) // (2 * p), "rows", "deuber_matrix")
     return _first_entry_rows(m, c, range(-p, p + 1))
 
 
@@ -251,6 +254,7 @@ def block_sums_matrix(blocks, row_budget=None):
 def identity_matrix(n):
     if n < 1:
         raise ValueError("need at least one column")
+    _check_built(n, "rows", "identity_matrix")
     return FiniteMatrix([SparseRow({i: 1}) for i in range(n)], n)
 
 
@@ -258,6 +262,7 @@ def arithmetic_progression_matrix(k):
     """Rows a, a+d, ..., a+(k-1)d over variables (a, d)."""
     if k < 1:
         raise ValueError("need at least one term")
+    _check_built(k, "rows", "arithmetic_progression_matrix")
     if k == 1:
         return FiniteMatrix([SparseRow({0: 1})], 1)
     return FiniteMatrix([SparseRow({0: 1, 1: i}) for i in range(k)], 2)

@@ -162,12 +162,6 @@ class FiniteMatrix:
         ]
         return cls(rows, obj["width"], **kw)
 
-    def apply(self, x):
-        return apply(self, x)
-
-    def image(self, x):
-        return image(self, x)
-
 
 class ImageSet:
     """Image of a matrix (or system) at an assignment, as a set of values.

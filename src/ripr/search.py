@@ -12,8 +12,8 @@ be as deep as its input asks.  A budget hit is reported via exhausted=False
 on any witness found.
 
 Each search except forcing compiles its values once, before the walk, as
-exact coefficient rows (matrix rows, MT block tuples or FS subsets) bucketed
-by top column, the last entry a row reads; see _compile_rows.  Entering a
+exact coefficient rows (matrix rows or MT block tuples) bucketed by top
+column, the last entry a row reads; see _compile_rows.  Entering a
 node at depth d (the engine asks for its candidates once per node) fixes the
 partial sum of every row whose top column is d, so each candidate v then
 costs one multiply-add per row.  Rows stay on plain ints:
@@ -29,7 +29,8 @@ all take positive values in one colour class, and share one walk for it,
 _mono_walk.  find_monochromatic runs it as it stands.
 find_dominated_assignment colours a value by whether the target holds it,
 pins the common colour to True and allows repeated entries.
-translate_witness keeps b in one entry past the prefix, which each
+translate_witness compiles the finite sums as the MT system with
+coefficients <1> and keeps b in one entry past the prefix, which each
 translated a-row reads with its own scale.  check_separation runs one walk
 per side, with the reserved colours refused as the common colour.
 
@@ -225,9 +226,9 @@ def _compile_rows(rows, width):
     """Bucket exact value rows by their top column, the last entry they read.
 
     rows yields (coeffs, tag) pairs: coeffs maps entry positions to nonzero
-    int or Fraction coefficients (a matrix row, an MT block tuple or an FS
-    subset), and tag is handed back with the row.  by_top[d] lists, in input
-    order, (lower, top, den, tag) for every row whose top column is d.  The
+    int or Fraction coefficients (a matrix row or an MT block tuple), and tag
+    is handed back with the row.  by_top[d] lists, in input order, (lower,
+    top, den, tag) for every row whose top column is d.  The
     row is scaled by den, the least common denominator of its coefficients,
     so the row's value at x is (lower . x + top * x[d]) / den with lower the
     (column, integer coefficient) pairs below d and top an integer too.
@@ -257,12 +258,6 @@ def _mt_row_count(k, length):
     return sum(math.comb(length, s) * math.comb(s - 1, k - 1) for s in range(k, length + 1))
 
 
-def _check_rows(count, length):
-    # a compiled row takes several hundred bytes (about 700 at a 17-entry prefix)
-    if count > _BUILD_GUARD:
-        raise ValueError("a %d-entry prefix would compile %d rows; too large" % (length, count))
-
-
 def _mt_rows(a, length):
     """Compiled rows of the a-system over entry prefixes of the given length,
     one per block tuple."""
@@ -273,18 +268,13 @@ def _mt_rows(a, length):
     )
 
 
-def _fs_rows(length):
-    """Compiled finite-sums rows over entry prefixes of the given length.
-
-    The rows ending at d are {d}, then each subset of the earlier entries in
-    the order in which adding one entry at a time first builds it, plus d.
-    """
-    subsets = []  # every nonempty subset of range(d), in that order
-    rows = []
-    for d in range(length):
-        rows += [({t: 1 for t in f + (d,)}, None) for f in [()] + subsets]
-        subsets += [f + (d,) for f in subsets] + [(d,)]
-    return _compile_rows(rows, length)
+def _mt_systems(systems, length):
+    """_mt_rows of each coefficient sequence in systems, refused with
+    ValueError before any is compiled when together they pass the row guard."""
+    count = sum(_mt_row_count(len(a), length) for a in systems)
+    if count > _BUILD_GUARD:
+        raise ValueError("a %d-entry prefix would compile %d rows; too large" % (length, count))
+    return [_mt_rows(a, length) for a in systems]
 
 
 def _backtrack(depth, candidates, extend, counter, state):
@@ -746,9 +736,7 @@ def check_separation(col, a, b, prefix_len, value_bound, node_budget=None):
     if prefix_len < len(a) or prefix_len < len(b):
         # one side's image is empty at this prefix length, so no witness
         return SeparationReport("none-within-bounds", None, None, 0)
-    _check_rows(_mt_row_count(len(a), prefix_len) + _mt_row_count(len(b), prefix_len),
-                prefix_len)
-    a_rows, b_rows = _mt_rows(a, prefix_len), _mt_rows(b, prefix_len)
+    a_rows, b_rows = _mt_systems((a, b), prefix_len)
     classes = _Classes(col.colour, range(1, value_bound + 1))
     x, y = [0] * prefix_len, [0] * prefix_len
     # both images are nonempty at this prefix length, so every complete prefix has a colour
@@ -778,11 +766,11 @@ def translate_witness(col, a, prefix_len, b_bound, x_bound, node_budget=None, wo
     if workers < 1:
         raise ValueError("need at least one worker")
     counter = _Counter(node_budget)
-    _check_rows(2**prefix_len - 1 + _mt_row_count(len(a), prefix_len), prefix_len)
-    # b sits in x[prefix_len], read by each a-row at its scale: at depth d the
-    # finite sums gaining entry d come first, then the translated a-values b + ...
+    # the finite sums are the <1>-system.  b sits in x[prefix_len], read by each a-row at
+    # its scale: at depth d the finite sums gaining entry d come first, then b + ...
+    fs_rows, a_rows = _mt_systems(((1,), a), prefix_len)
     by_top = [fs + [(lower + ((prefix_len, den),), top, den, tag) for lower, top, den, tag in mt]
-              for fs, mt in zip(_fs_rows(prefix_len), _mt_rows(a, prefix_len))]
+              for fs, mt in zip(fs_rows, a_rows)]
     x = [0] * (prefix_len + 1)
     classes = _Classes(col.colour, range(1, x_bound + 1))
     for b in range(1, b_bound + 1):

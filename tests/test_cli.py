@@ -4,6 +4,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -49,7 +50,7 @@ def test_parse_family_slugs():
 
 
 def test_parse_colouring_slugs():
-    assert parse_colouring("mod:3").palette == {0, 1, 2}
+    assert parse_colouring("mod:3").params["m"] == 3
     assert parse_colouring("alpha:3/2").params["base"] == 3
     assert parse_colouring("notrapid:7:1,2").kind == "notrapid"
     with pytest.raises(ValueError):
@@ -59,6 +60,18 @@ def test_parse_colouring_slugs():
     for surplus in ("mod:3:1", "alpha:2:2", "notrapid:7:1,2:3"):
         with pytest.raises(ValueError):
             parse_colouring(surplus)
+
+
+@pytest.mark.parametrize("slug", ["mod:20000000", "digitprofile:120"])
+def test_parse_colouring_costs_nothing_per_colour(slug):
+    # a colouring is built without listing the colours it can take
+    tracemalloc.start()
+    try:
+        parse_colouring(slug)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_load_matrix_formats(tmp_path):
@@ -478,6 +491,20 @@ def test_main_diff_flow(tmp_path, capsys):
     skew.write_text(json.dumps({"schemaVersion": 99}))
     code, _, err = _capture(capsys, ["diff", str(a), str(skew)])
     assert code == 2 and "schema" in err
+
+
+def test_main_diff_timing_sidecar(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    _capture(capsys, ["gen", "schur", "--out", str(a)])
+    plain, timed = tmp_path / "plain.json", tmp_path / "timed.json"
+    code, out, _ = _capture(capsys, ["diff", str(a), str(a), "--out", str(plain)])
+    assert code == 0 and "timing" not in json.loads(out)
+    code, out, _ = _capture(capsys, ["diff", str(a), str(a), "--timing", "--out", str(timed)])
+    rep = json.loads(out)
+    assert code == 0 and rep["outcome"] == "identical" and rep["timing"]["wallMs"] >= 0
+    code, out, _ = _capture(capsys, ["diff", str(plain), str(timed)])
+    assert code == 0 and json.loads(out)["identical"] is True
+    assert report_diff(json.loads(plain.read_text()), rep) == []
 
 
 def test_main_missing_file(tmp_path, capsys):

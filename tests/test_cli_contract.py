@@ -241,6 +241,11 @@ def test_cli_contract_examples(files):
         (["gen", "f:20"], 2),
         (["gen", "fprime:3000"], 2),
         (["gen", "doublingsys", "--n", "3000"], 2),
+        (["gen", "identity:600000"], 2),
+        (["gen", "ap:600000"], 2),
+        (["gen", "band:1:600000"], 2),
+        (["gen", "mpc:13,2,1"], 2),
+        (["gen", "deuber:13,1,1"], 2),
         (["separate", "--a", "1", "--b", "2,1", "--colouring", "mod:2", "--prefix", "18",
           "--bound", "3"], 2),
         (["translate-search", "--a", "2,1", "--colouring", "mod:2", "--prefix", "18",

@@ -37,7 +37,6 @@ def test_colouring_input_validation():
 def test_mod_colouring():
     col = mod_colouring(3)
     assert [col.colour(x) for x in (1, 2, 3, 4)] == [1, 2, 0, 1]
-    assert col.palette == frozenset({0, 1, 2})
 
 
 def test_table_colouring():
@@ -47,7 +46,6 @@ def test_table_colouring():
         col.colour(3)
     col2 = table_colouring({1: "a"}, default="z")
     assert col2.colour(99) == "z"
-    assert col2.palette == frozenset({"a", "z"})
 
 
 def test_rational_valuation():
@@ -112,8 +110,6 @@ def test_digit_profile_colouring():
     assert col.colour(7) == (2, 1, 2, 1)
     assert col.colour(32) == (2, 1, 1, 2)
     assert col.colour(1) == (1, 1, 0, 0)
-    assert len(col.palette) <= 3 * 5**3
-    assert col.colour(7) in col.palette
 
 
 def test_negabase_gap_validation():

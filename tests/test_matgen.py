@@ -57,6 +57,26 @@ def test_finite_sums_matrix_build_guard(monkeypatch):
     assert finite_sums_matrix(19) == (2**19 - 1, 19)
 
 
+@pytest.mark.parametrize("build, small, large, rows", [
+    (identity_matrix, (5,), (2**19 + 1,), 2**19 + 1),
+    (arithmetic_progression_matrix, (4,), (2**19 + 1,), 2**19 + 1),
+    (band_matrix, ((1, 2), 3), ((1,), 600000), 600000),
+    (mpc_matrix, (3, 2, 1), (13, 2, 1), (3**13 - 1) // 2),
+    (deuber_matrix, (3, 1, 2), (13, 1, 1), (3**13 - 1) // 2),
+])
+def test_row_families_build_guard(monkeypatch, build, small, large, rows):
+    # past the guard the builder refuses before it builds a row
+    with pytest.raises(ValueError, match=" %d rows" % rows):
+        build(*large)
+    # the guard counts exactly the rows built: a guard at that count lets them through
+    n = len(build(*small).rows)
+    monkeypatch.setattr(matgen, "_BUILD_GUARD", n)
+    assert len(build(*small).rows) == n
+    monkeypatch.setattr(matgen, "_BUILD_GUARD", n - 1)
+    with pytest.raises(ValueError, match=" %d rows" % n):
+        build(*small)
+
+
 def test_pairwise_sum_rows():
     M = pairwise_sum_rows(3)
     assert len(M) == 6  # 3 singles + 3 pairs

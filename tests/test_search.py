@@ -27,7 +27,6 @@ from ripr.matgen import (
 from ripr.ratcore import DimensionMismatch, FiniteMatrix, SparseRow, apply, image
 from ripr.search import (
     _compile_rows,
-    _fs_rows,
     _mt_row_count,
     _mt_rows,
     _as_int_value,
@@ -416,7 +415,7 @@ def test_compiled_rows_match_images():
         vals = [v for _, v in _compiled_values(_mt_rows(a, n), x)]
         assert len(vals) == len(list(block_tuples(n, len(a) - 1)))
         assert set(vals) == mt_image(a, x).values
-        vals = [v for _, v in _compiled_values(_fs_rows(n), x)]
+        vals = [v for _, v in _compiled_values(_mt_rows((1,), n), x)]
         assert len(vals) == 2**n - 1 and set(vals) == fs_image(x).values
         dense = [[rng.choice([0, 0] + terms) for _ in range(n)] for _ in range(rng.randint(1, 4))]
         A = FiniteMatrix.from_dense(dense, n, allow_duplicate_rows=True)
