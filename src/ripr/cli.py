@@ -266,29 +266,36 @@ def _h_digits(params):
 def _h_colour(params):
     col = parse_colouring(params["colouring"])
     xs = params["numbers"]
-    cols = [colour_obj(col.colour(x)) for x in xs]
-    common = colourings.colour_image(col, xs) if xs else None
+    cols = [col.colour(x) for x in xs]
+    # as in colourings.colour_image: the least number's colour, if every number has it
+    common = cols[xs.index(min(xs))] if xs else None
+    if any(c != common for c in cols):
+        common = None
     return {
         "outcome": "ok",
-        "colours": cols,
+        "colours": [colour_obj(c) for c in cols],
         "common": colour_obj(common) if common is not None else None,
-        "reserved": [col.is_reserved(col.colour(x)) for x in xs],
+        "reserved": [col.is_reserved(c) for c in cols],
     }
 
 
-def _search_report(res):
-    rep = {"nodes": res.nodes, "exhausted": res.exhausted}
+def _assignment_obj(witness):
+    return {
+        "assignment": list(witness.assignment),
+        "image": [rat_obj(v) for v in witness.image.sorted_values()],
+        "colour": colour_obj(witness.colour),
+    }
+
+
+def _search_report(res, witness_obj=_assignment_obj):
+    """The nodes, exhausted, outcome and witness of a search result;
+    witness_obj gives a witness's report object."""
     if res.witness is None:
-        rep["outcome"] = "none-within-bounds" if res.exhausted else "budget"
-        rep["witness"] = None
+        outcome, witness = "none-within-bounds" if res.exhausted else "budget", None
     else:
-        rep["outcome"] = "witness"
-        rep["witness"] = {
-            "assignment": list(res.witness.assignment),
-            "image": [rat_obj(v) for v in res.witness.image.sorted_values()],
-            "colour": colour_obj(res.witness.colour),
-        }
-    return rep
+        outcome, witness = "witness", witness_obj(res.witness)
+    return {"nodes": res.nodes, "exhausted": res.exhausted, "outcome": outcome,
+            "witness": witness}
 
 
 def _h_search(params):
@@ -373,19 +380,8 @@ def _h_translate(params):
         params.get("budget"),
         params.get("threads", 1),
     )
-    a = coeff_seq(params["a"])
-    out = {
-        "nodes": res.nodes,
-        "exhausted": res.exhausted,
-        "lastCoefficientOne": a[len(a) - 1] == 1,
-    }
-    if res.witness is None:
-        out["outcome"] = "none-within-bounds" if res.exhausted else "budget"
-        out["witness"] = None
-    else:
-        b, x, colour = res.witness
-        out["outcome"] = "witness"
-        out["witness"] = {"b": b, "x": list(x), "colour": colour_obj(colour)}
+    out = _search_report(res, lambda w: {"b": w[0], "x": list(w[1]), "colour": colour_obj(w[2])})
+    out["lastCoefficientOne"] = coeff_seq(params["a"])[-1] == 1
     return out
 
 
@@ -587,14 +583,6 @@ def _parser():
     return ap
 
 
-class _UsageError(Exception):
-    pass
-
-
-def _die(msg):
-    raise _UsageError(msg)
-
-
 def _slug_from_flags(table, name, args):
     """The slug that the gen/colour flags spell for table entry name."""
     slug = name
@@ -603,7 +591,7 @@ def _slug_from_flags(table, name, args):
         if None in values:
             if f.optional:
                 break
-            _die("%s requires %s" % (name, " ".join("--" + flag for flag in f.flags)))
+            raise ValueError("%s requires %s" % (name, " ".join("--" + flag for flag in f.flags)))
         slug += ":" + ",".join(map(str, values))
     return slug
 
@@ -618,7 +606,7 @@ def _spec_from_args(args):
         fam = args.family
         if ":" not in fam:
             if fam not in _FAMILIES:
-                _die("unknown family %r" % fam)
+                raise ValueError("unknown family %r" % fam)
             fam = _slug_from_flags(_FAMILIES, fam, args)
         return ExperimentSpec("gen", {"family": fam})
     if cmd == "colour":
@@ -627,8 +615,8 @@ def _spec_from_args(args):
     if cmd == "rapid":
         key = "seeds" if args.make else "x"
         if not getattr(args, key):
-            _die("--make requires --seeds" if args.make
-                 else "rapid requires --x (or --make with --seeds)")
+            raise ValueError("--make requires --seeds" if args.make
+                             else "rapid requires --x (or --make with --seeds)")
         return ExperimentSpec("rapid", {"p": args.p, "make": args.make,
                                         key: parse_int_list(getattr(args, key))})
     params = {}
@@ -644,7 +632,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         report = run(_spec_from_args(args), timing=args.timing)
-    except (_UsageError, ValueError, DimensionMismatch, OSError) as e:
+    except (ValueError, DimensionMismatch, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     except search.BudgetExceeded as e:

@@ -45,7 +45,6 @@ def finite_sums_matrix(v):
     """All 2^v - 1 finite-sums rows over v columns."""
     if v < 1:
         raise ValueError("need at least one column")
-    _check_budget(2**v, "finite_sums_matrix")
     _check_built(2**v - 1, "rows", "finite_sums_matrix")
     return FiniteMatrix([finite_sums_row(i) for i in range(2**v - 1)], v)
 
@@ -72,7 +71,7 @@ def milliken_taylor_rows(a, column_bound, row_budget=None):
     """All rows over column_bound columns that compress to the coefficient
     sequence a.  Entries necessarily come from {0} union the terms of a."""
     a = coeff_seq(a)
-    alphabet = sorted({0, *a.terms})
+    alphabet = sorted({0, *a})
     _check_budget(len(alphabet) ** column_bound, "milliken_taylor_rows")
     rows = []
     for dense in product(alphabet, repeat=column_bound):

@@ -75,17 +75,6 @@ class SparseRow(dict):
     def dense(self, width):
         return tuple(self[c] for c in range(width))
 
-    def __mul__(self, scalar):
-        return SparseRow((c, v * scalar) for c, v in self.items())
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        out = SparseRow(self)
-        for c, v in other.items():
-            out[c] = out[c] + v
-        return out
-
     def shifted(self, offset):
         """Same entries with every column index moved up by offset."""
         return SparseRow((c + offset, v) for c, v in self.items())

@@ -42,10 +42,10 @@ span.  Separation narrows the same way but counts only the members it tries.
 """
 
 import math
-import os
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain
 
 from .matgen import _BUILD_GUARD, _check_budget, is_first_entries
 from .ratcore import DimensionMismatch, ImageSet, SparseRow, apply, image
@@ -58,12 +58,6 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
-def node_budget_default():
-    """Default node budget; the RIPR_BUDGET environment variable overrides."""
-    raw = os.environ.get("RIPR_BUDGET", "").strip()
-    return int(raw) if raw else DEFAULT_NODE_BUDGET
-
-
 class _Counter:
     """Node counter with a hard limit; a limit of None is the default budget."""
 
@@ -71,7 +65,7 @@ class _Counter:
 
     def __init__(self, limit):
         self.n = 0
-        self.limit = node_budget_default() if limit is None else limit
+        self.limit = DEFAULT_NODE_BUDGET if limit is None else limit
 
     def step(self):
         self.n += 1
@@ -188,15 +182,13 @@ class SearchConfig:
     min_entry: int = 1
     distinct_entries: bool = False
     distinct_image: bool = False
-    node_budget: int = None
+    node_budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self):
         if self.min_entry < 1:
             raise ValueError("entries start at 1")
         if self.variable_bound < self.min_entry:
             raise ValueError("variable bound below the minimum entry")
-        if self.node_budget is None:
-            object.__setattr__(self, "node_budget", node_budget_default())
 
 
 @dataclass(frozen=True)
@@ -252,10 +244,11 @@ def _node_rows(rows, x):
     return [(sum(c * x[j] for j, c in lower), top, den, tag) for lower, top, den, tag in rows]
 
 
-def _mt_row_count(k, length):
-    """Rows of a k-term system over entry prefixes of the given length: a block
-    tuple is s chosen entries cut into k nonempty runs, in comb(s-1, k-1) ways."""
-    return sum(math.comb(length, s) * math.comb(s - 1, k - 1) for s in range(k, length + 1))
+def _mt_row_counts(k, length):
+    """Rows of a k-term system over entry prefixes of the given length, by the
+    number s of entries a block tuple uses: s entries cut into k nonempty runs,
+    in comb(s-1, k-1) ways."""
+    return (math.comb(length, s) * math.comb(s - 1, k - 1) for s in range(k, length + 1))
 
 
 def _mt_rows(a, length):
@@ -270,10 +263,12 @@ def _mt_rows(a, length):
 
 def _mt_systems(systems, length):
     """_mt_rows of each coefficient sequence in systems, refused with
-    ValueError before any is compiled when together they pass the row guard."""
-    count = sum(_mt_row_count(len(a), length) for a in systems)
-    if count > _BUILD_GUARD:
-        raise ValueError("a %d-entry prefix would compile %d rows; too large" % (length, count))
+    ValueError before any is compiled when together they pass the row guard.
+    Counting stops as soon as the running total passes it."""
+    counts = chain.from_iterable(_mt_row_counts(len(a), length) for a in systems)
+    if any(total > _BUILD_GUARD for total in accumulate(counts)):
+        raise ValueError("a %d-entry prefix would compile more than %d rows; too large"
+                         % (length, _BUILD_GUARD))
     return [_mt_rows(a, length) for a in systems]
 
 

@@ -12,12 +12,15 @@ from itertools import combinations, product
 from .ratcore import ImageSet, as_entry
 
 
-class CompressedSeq:
-    """Validated compressed sequence of nonzero rationals."""
+class CompressedSeq(tuple):
+    """A compressed sequence <a_0..a_k>: the tuple of its terms, checked on
+    construction to be nonempty, free of zeros and free of equal adjacent
+    terms.  Integral Fractions are stored as ints.  Being a tuple, it is
+    immutable and hashable and equals the plain tuple of the same terms."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms):
+    def __new__(cls, terms):
         terms = tuple(as_entry(t) for t in terms)
         if not terms:
             raise ValueError("compressed sequence must be nonempty")
@@ -27,32 +30,10 @@ class CompressedSeq:
         for u, v in zip(terms, terms[1:]):
             if u == v:
                 raise ValueError("adjacent terms must differ: %r" % (terms,))
-        object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, *a):
-        raise AttributeError("CompressedSeq is immutable")
-
-    def __len__(self):
-        return len(self.terms)
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    def __getitem__(self, i):
-        return self.terms[i]
-
-    def __eq__(self, other):
-        if isinstance(other, CompressedSeq):
-            return self.terms == other.terms
-        if isinstance(other, tuple):
-            return self.terms == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.terms)
+        return super().__new__(cls, terms)
 
     def __repr__(self):
-        return "CompressedSeq(%r)" % (self.terms,)
+        return "CompressedSeq(%r)" % (tuple(self),)
 
 
 def compress(terms):
@@ -73,32 +54,7 @@ def compress(terms):
 
 def coeff_seq(a):
     """Coerce a CompressedSeq or an already-compressed iterable of terms."""
-    if isinstance(a, CompressedSeq):
-        return a
-    return CompressedSeq(tuple(a))
-
-
-class MTParams:
-    """Coefficient record for a Milliken-Taylor system.
-
-    require_positive_last enforces the normal form used by the partition
-    theorems (last coefficient positive); leave it off for raw row work.
-    """
-
-    __slots__ = ("a", "require_positive_last")
-
-    def __init__(self, a, require_positive_last=False):
-        a = coeff_seq(a)
-        if require_positive_last and a[len(a) - 1] <= 0:
-            raise ValueError("last coefficient must be positive under this normal form")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "require_positive_last", require_positive_last)
-
-    def __setattr__(self, *args):
-        raise AttributeError("MTParams is immutable")
-
-    def __repr__(self):
-        return "MTParams(%r)" % (self.a.terms,)
+    return a if isinstance(a, CompressedSeq) else CompressedSeq(a)
 
 
 def _check_entries(x):

@@ -248,6 +248,9 @@ def test_cli_contract_examples(files):
         (["gen", "deuber:13,1,1"], 2),
         (["separate", "--a", "1", "--b", "2,1", "--colouring", "mod:2", "--prefix", "18",
           "--bound", "3"], 2),
+        # the row guard stops counting once the count passes it
+        (["separate", "--a", "1", "--b", "2,1", "--colouring", "mod:2", "--prefix", "10000",
+          "--bound", "3"], 2),
         (["translate-search", "--a", "2,1", "--colouring", "mod:2", "--prefix", "18",
           "--bbound", "1", "--xbound", "3"], 2),
         (["translate-search", "--a", "1", "--colouring", "mod:2", "--prefix", "19",

@@ -138,6 +138,13 @@ def test_threads_do_not_change_report(name):
         assert canonical(rep) == _golden(name)
 
 
+@pytest.mark.parametrize("name", ["separate-none", "search-01"])
+def test_environment_does_not_change_report(name, monkeypatch):
+    # the node budget comes from the request alone: RIPR_BUDGET is not read
+    monkeypatch.setenv("RIPR_BUDGET", "5")
+    assert _report(CASES[name]) == _golden(name)
+
+
 def test_golden_files_match_cases():
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(CASES)
 

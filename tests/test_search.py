@@ -27,12 +27,13 @@ from ripr.matgen import (
 from ripr.ratcore import DimensionMismatch, FiniteMatrix, SparseRow, apply, image
 from ripr.search import (
     _compile_rows,
-    _mt_row_count,
+    _mt_row_counts,
     _mt_rows,
     _as_int_value,
     _forcing_images,
     _image_plan,
     _node_rows,
+    DEFAULT_NODE_BUDGET,
     BudgetExceeded,
     SearchConfig,
     check_separation,
@@ -42,7 +43,6 @@ from ripr.search import (
     forcing_bound,
     is_rapid,
     make_rapid,
-    node_budget_default,
     refute_nonconstant,
     translate_witness,
 )
@@ -399,7 +399,7 @@ def test_mt_row_count_matches_block_tuples():
     # the row guard counts the rows a request compiles before compiling them
     for k in range(1, 5):
         for n in range(9):
-            assert _mt_row_count(k, n) == sum(1 for _ in block_tuples(n, k - 1)), (k, n)
+            assert sum(_mt_row_counts(k, n)) == sum(1 for _ in block_tuples(n, k - 1)), (k, n)
 
 
 def test_compiled_rows_match_images():
@@ -457,14 +457,7 @@ def test_config_validation():
         SearchConfig(0)
     with pytest.raises(ValueError):
         SearchConfig(5, min_entry=0)
-    assert SearchConfig(5).node_budget == node_budget_default()
-
-
-def test_budget_env_override(monkeypatch):
-    monkeypatch.setenv("RIPR_BUDGET", "1234")
-    assert node_budget_default() == 1234
-    monkeypatch.delenv("RIPR_BUDGET")
-    assert node_budget_default() == 10**7
+    assert SearchConfig(5).node_budget == DEFAULT_NODE_BUDGET
 
 
 def test_forcing_schur_and_trivial():

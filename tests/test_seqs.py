@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from ripr.seqs import (
     CompressedSeq,
-    MTParams,
     block_tuples,
     compress,
     fs_image,
@@ -49,17 +48,10 @@ def test_compress_idempotent(terms):
     if not any(terms):
         return
     once = compress(terms)
-    assert compress(once.terms) == once
+    assert compress(once) == once
     # compressed output really is compressed
-    assert all(t != 0 for t in once.terms)
-    assert all(u != v for u, v in zip(once.terms, once.terms[1:]))
-
-
-def test_mt_params():
-    assert MTParams((2, 1)).a == (2, 1)
-    with pytest.raises(ValueError):
-        MTParams((1, -2), require_positive_last=True)
-    MTParams((1, -2))  # fine without the normal form
+    assert all(t != 0 for t in once)
+    assert all(u != v for u, v in zip(once, once[1:]))
 
 
 def test_block_tuple_counts():
