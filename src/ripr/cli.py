@@ -267,7 +267,7 @@ def _h_colour(params):
     col = parse_colouring(params["colouring"])
     xs = params["numbers"]
     cols = [col.colour(x) for x in xs]
-    # as in colourings.colour_image: the least number's colour, if every number has it
+    # the common colour is the least number's colour, if every number has it
     common = cols[xs.index(min(xs))] if xs else None
     if any(c != common for c in cols):
         common = None

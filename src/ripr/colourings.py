@@ -237,25 +237,3 @@ def negabase_gap_colouring(p, coeffs):
         memoize=True,
     )
 
-
-def colour_image(col, values):
-    """Common colour of all the values, or None if they disagree.
-
-    values may be an ImageSet or any iterable; every value must be a positive
-    integer (integral Fraction accepted).
-    """
-    vals = values.sorted_values() if hasattr(values, "sorted_values") else sorted(values)
-    if not vals:
-        raise ValueError("empty value set has no common colour")
-    common = None
-    for v in vals:
-        if isinstance(v, Fraction):
-            if v.denominator != 1:
-                raise ValueError("image value %s is not an integer" % v)
-            v = int(v)
-        c = col.colour(v)
-        if common is None:
-            common = c
-        elif c != common:
-            return None
-    return common

@@ -36,9 +36,13 @@ per side, with the reserved colours refused as the common colour.
 
 When a node's rows include x_d itself (see _unit_rows), its candidates are
 only the values of the common colour's class once that colour is known; see
-_Classes.  The span values skipped still count one node each, so witnesses,
-node counts and budget stops are exactly those of the walk over the whole
-span.  Separation narrows the same way but counts only the members it tries.
+_Classes.  Such a value is not coloured again: the node leaves x_d's own row
+unchecked, unless distinct_image needs its value.  The span values skipped
+still count one node each, so witnesses, node counts and budget stops are
+exactly those of the walk over the whole span.  Separation narrows the same
+way but counts only the members it tries.  _backtrack counts each candidate
+it tries itself; _Counter.skip, which charges skipped values in one step, is
+the only batched count.
 """
 
 import math
@@ -66,11 +70,6 @@ class _Counter:
     def __init__(self, limit):
         self.n = 0
         self.limit = DEFAULT_NODE_BUDGET if limit is None else limit
-
-    def step(self):
-        self.n += 1
-        if self.n > self.limit:
-            raise _BudgetHit
 
     def skip(self, k):
         """Count k nodes at once, stopping where k single steps would."""
@@ -170,10 +169,14 @@ class _Classes:
 
 
 def _unit_rows(by_top):
-    """Per depth d, whether a compiled row is x_d itself.  That row's value is
-    the candidate, so only the values it accepts can pass at d."""
-    return [any(not lower and top == 1 and den == 1 for lower, top, den, _ in rows)
-            for rows in by_top]
+    """Per depth d, None unless a compiled row is x_d itself, else the other
+    rows of d.  That row's value is the candidate, so only the values it
+    accepts can pass at d, and a candidate drawn from them passes it unchecked."""
+    out = []
+    for rows in by_top:
+        rest = [row for row in rows if row[:3] != ((), 1, 1)]  # (lower, top, den) of x_d
+        out.append(rest if len(rest) < len(rows) else None)
+    return out
 
 
 @dataclass(frozen=True)
@@ -285,7 +288,7 @@ def _backtrack(depth, candidates, extend, counter, state):
     The walk keeps its own stack of candidate iterators and parent states,
     so its depth is not limited by the interpreter's recursion limit.
     """
-    step = counter.step
+    limit = counter.limit
     last = depth - 1
     d = 0
     its = [iter(candidates(0, state))]
@@ -293,7 +296,10 @@ def _backtrack(depth, candidates, extend, counter, state):
     while True:
         parent = states[d]
         for v in its[d]:
-            step()
+            # counter.n, not a local: _Counter.skip advances it inside the loop
+            counter.n += 1
+            if counter.n > limit:
+                raise _BudgetHit
             child = extend(d, v, parent)
             if child is None:
                 continue
@@ -332,19 +338,25 @@ def _mono_walk(by_top, x, classes, counter, colour=None, distinct_entries=True,
     first row value sets it, and a reserved colour is pruned there.
     distinct_entries forbids repeated entries; distinct_image forbids two rows
     with different tags taking one value.  Where x_d is a row, entry d tries
-    only the common colour's class once the colour is known (see _unit_rows);
-    count_skips counts each span value skipped as one node tried.
+    only the common colour's class once the colour is known (see _unit_rows),
+    and x_d's row goes unchecked there, since each member already has the
+    common colour, except under distinct_image, which files its value.
+    count_skips counts each span value skipped as one node tried, in one
+    _Counter.skip per run of them; _backtrack counts the members tried.
     """
     span, colour_of = classes.span, classes.colour_of
-    unit = _unit_rows(by_top)
+    rest = _unit_rows(by_top)
+    # under distinct_image a unit row's value must still enter the owner map
+    narrowed = by_top if distinct_image else rest
     skips = counter if count_skips else None
-    rows_now = [None] * len(by_top)  # rows_now[d]: the rows ending at d, at the current node
+    rows_now = [None] * len(by_top)  # rows_now[d]: the rows checked at d, at the current node
 
     def candidates(d, state):
-        rows_now[d] = _node_rows(by_top[d], x)
-        if unit[d] and state[0] is not None:
+        if rest[d] is not None and state[0] is not None:
             # x_d prunes every value outside the common colour's class
+            rows_now[d] = _node_rows(narrowed[d], x)
             return classes.members(state[0], skips)
+        rows_now[d] = _node_rows(by_top[d], x)
         return span
 
     def extend(d, v, state):

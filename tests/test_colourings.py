@@ -5,7 +5,6 @@ import pytest
 
 from ripr.colourings import (
     Colouring,
-    colour_image,
     digit_profile_colouring,
     mod_colouring,
     negabase_gap_colouring,
@@ -174,17 +173,6 @@ def test_negabase_gap_memoizes():
     v1 = col.colour(123456)
     assert col._memo[123456] == v1
     assert col.colour(123456) is v1
-
-
-def test_colour_image():
-    col = mod_colouring(2)
-    assert colour_image(col, [2, 4, 6]) == 0
-    assert colour_image(col, [2, 3]) is None
-    assert colour_image(col, [Fraction(4, 1)]) == 0
-    with pytest.raises(ValueError):
-        colour_image(col, [Fraction(1, 2)])
-    with pytest.raises(ValueError):
-        colour_image(col, [])
 
 
 def test_gap_additivity_hand_case():

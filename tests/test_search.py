@@ -320,6 +320,11 @@ def test_class_candidates_match_span_walk(monkeypatch):
          SearchConfig(12)),
         # no unit row at all: nothing narrows
         (FiniteMatrix.from_dense([[2, 1], [1, 3]]), mod_colouring(7), SearchConfig(6)),
+        # a repeated unit row: under distinct_image x_1 still enters the owner map, where
+        # 2 x_0 may collide with it
+        (FiniteMatrix.from_dense([[1, 0], [0, 1], [0, 1], [2, 0], [1, 1]],
+                                 allow_duplicate_rows=True),
+         mod_colouring(3), SearchConfig(12, distinct_image=True)),
     ]
     dominate = [
         (finite_sums_matrix(3), arithmetic_progression_matrix(3), (1, 4, 16), 22),
@@ -335,8 +340,18 @@ def test_class_candidates_match_span_walk(monkeypatch):
         (digit_profile_colouring(5), (2, 1), 2, 2, 12),
     ]
 
+    separate = [
+        (mod_colouring(3), (1,), (2, 1), 2, 12),
+        (mod_colouring(3), (2, 1), (1,), 2, 12),
+        (digit_profile_colouring(5), (1,), (2, 1), 2, 30),
+        (_mod3_reserving(0), (1,), (2, 1), 2, 12),
+    ]
+
     def runs():
         out = []
+        for col, a, b, length, bound in separate:
+            out.append(_every_budget(
+                lambda budget: check_separation(col, a, b, length, bound, budget)))
         for A, col, cfg in mono:
             out.append(_every_budget(lambda budget: find_monochromatic(A, col, SearchConfig(
                 cfg.variable_bound, cfg.min_entry, cfg.distinct_entries, cfg.distinct_image,
@@ -350,11 +365,32 @@ def test_class_candidates_match_span_walk(monkeypatch):
         return out
 
     got = runs()
-    monkeypatch.setattr(search_module, "_unit_rows", lambda by_top: [False] * len(by_top))
+    # Narrowed but checking every row, the unit row included: every search,
+    # separation too, must answer as when a class member skips its own row.
+    unit_rows = search_module._unit_rows
+    monkeypatch.setattr(search_module, "_unit_rows", lambda by_top: [
+        None if rest is None else rows for rows, rest in zip(by_top, unit_rows(by_top))])
+    assert runs() == got
+    # Separation counts only the class members it tries, so its nodes are not
+    # those of the span walk; the counted searches must match it exactly.
+    monkeypatch.setattr(search_module, "_unit_rows", lambda by_top: [None] * len(by_top))
     want = runs()
-    assert got == want
+    assert got[len(separate):] == want[len(separate):]
+    for mine, span in zip(got[:len(separate)], want[:len(separate)]):
+        assert (mine[-1].outcome, mine[-1].witness) == (span[-1].outcome, span[-1].witness)
     witnesses = [r[-1].witness is not None for r in got]
     assert any(witnesses) and not all(witnesses)
+
+
+def test_class_members_are_not_coloured_again(monkeypatch):
+    # x_d drawn from the common colour's class needs no colour lookup of its own
+    calls = []
+    colour = Colouring.colour
+    monkeypatch.setattr(Colouring, "colour", lambda self, v: calls.append(v) or colour(self, v))
+    res = find_monochromatic(finite_sums_matrix(3), mod_colouring(3),
+                             SearchConfig(40, distinct_entries=True))
+    assert (res.witness.assignment, res.nodes) == ((3, 6, 9), 98)
+    assert len(calls) <= 72  # 99 when every row value is coloured
 
 
 def test_sparse_class_walk_colours_about_its_budget(monkeypatch):
@@ -378,7 +414,7 @@ def test_sparse_class_walk_colours_about_its_budget(monkeypatch):
         return out
 
     got = runs()
-    monkeypatch.setattr(search_module, "_unit_rows", lambda by_top: [False] * len(by_top))
+    monkeypatch.setattr(search_module, "_unit_rows", lambda by_top: [None] * len(by_top))
     want = runs()
     assert got[0::2] == want[0::2]
     assert got[0].nodes == got[2].nodes == budget + 1 and not got[0].exhausted
@@ -670,6 +706,13 @@ def test_matrix_mono_pinned_benchmark_answers(run, nodes):
     # spans as counted skips; the benchmark itself does not compare nodes
     res = run()
     assert (res.witness, res.nodes, res.exhausted) == (None, nodes, True)
+
+
+def test_mt_separate_pinned_benchmark_shape():
+    # the mt-separate benchmark request at a smaller value bound; the
+    # benchmark's correct flag does not compare nodes
+    rep = check_separation(negabase_gap_colouring(7, (1, 2)), (1,), (2, 1), 2, 5000)
+    assert (rep.outcome, rep.witness, rep.nodes) == ("none-within-bounds", None, 8339)
 
 
 def test_dominated_assignment_positive_case():
