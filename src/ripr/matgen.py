@@ -5,10 +5,11 @@ yields equal matrices with rows in the same order, so serialized output is
 byte-stable.  Row budgets truncate the enumeration, never reorder it.
 """
 
-from itertools import chain, combinations, islice, product
+import math
+from itertools import accumulate, chain, combinations, islice, product
 
 from .ratcore import FiniteMatrix, SparseRow
-from .seqs import coeff_seq, compress
+from .seqs import _mt_row_counts, _mt_row_maps, coeff_seq
 
 _ENUM_GUARD = 10**7
 
@@ -27,6 +28,18 @@ _BUILD_GUARD = 2**19
 def _check_built(count, unit, what):
     if count > _BUILD_GUARD:
         raise ValueError("%s would build %d %s; too large" % (what, count, unit))
+
+
+def _check_counted(counts, what):
+    """Refuse with ValueError once the running total of counts passes the build
+    guard; counting stops there, so the refusal names no count past it."""
+    if any(total > _BUILD_GUARD for total in accumulate(counts)):
+        raise ValueError("%s would build more than %d rows; too large" % (what, _BUILD_GUARD))
+
+
+def _kept(count, row_budget):
+    """Rows a row budget keeps of count: all without one, else at least one."""
+    return count if row_budget is None else min(count, max(row_budget, 1))
 
 
 def finite_sums_row(i):
@@ -69,19 +82,12 @@ def pairwise_sum_rows(column_bound, row_budget=None):
 
 def milliken_taylor_rows(a, column_bound, row_budget=None):
     """All rows over column_bound columns that compress to the coefficient
-    sequence a.  Entries necessarily come from {0} union the terms of a."""
+    sequence a, one per block tuple, in ascending order of their dense tuples."""
     a = coeff_seq(a)
-    alphabet = sorted({0, *a})
-    _check_budget(len(alphabet) ** column_bound, "milliken_taylor_rows")
-    rows = []
-    for dense in product(alphabet, repeat=column_bound):
-        if not any(dense):
-            continue
-        if compress(dense) == a:
-            rows.append(SparseRow((c, v) for c, v in enumerate(dense) if v))
-            if row_budget is not None and len(rows) >= row_budget:
-                break
-    return FiniteMatrix(rows, column_bound)
+    _check_counted(_mt_row_counts(len(a), column_bound), "milliken_taylor_rows")
+    rows = sorted(_mt_row_maps(a, column_bound),
+                  key=lambda r: [r.get(c, 0) for c in range(column_bound)])
+    return FiniteMatrix(rows[:_kept(len(rows), row_budget)], column_bound)
 
 
 def band_matrix(coeffs, nrows, width=None):
@@ -123,7 +129,6 @@ def mpc_matrix(m, p, c):
     """
     if m < 1 or p < 1 or c < 1:
         raise ValueError("m, p, c must be positive")
-    _check_budget((p + 1) ** m, "mpc_matrix")
     _check_built(((p + 1) ** m - 1) // p, "rows", "mpc_matrix")
     return _first_entry_rows(m, c, range(p + 1))
 
@@ -135,7 +140,6 @@ def deuber_matrix(m, p, c):
     """
     if m < 1 or p < 1 or c < 1:
         raise ValueError("m, p, c must be positive")
-    _check_budget((2 * p + 1) ** m, "deuber_matrix")
     _check_built(((2 * p + 1) ** m - 1) // (2 * p), "rows", "deuber_matrix")
     return _first_entry_rows(m, c, range(-p, p + 1))
 
@@ -207,15 +211,17 @@ def constant_rowsum_rows(total, width, entry_bound=None, row_budget=None):
     if entry_bound is None:
         entry_bound = total
     _check_budget((entry_bound + 1) ** width, "constant_rowsum_rows")
-    rows = []
-    for dense in product(range(entry_bound + 1), repeat=width):
-        if sum(dense) == total:
-            rows.append(SparseRow((c, v) for c, v in enumerate(dense) if v))
-            if row_budget is not None and len(rows) >= row_budget:
-                break
-    if not rows:
+    # inclusion-exclusion over the j entries past the bound; below 0 no row fits, as at 0
+    b = max(entry_bound, 0) + 1
+    count = sum((-1) ** j * math.comb(width, j) * math.comb(total - j * b + width - 1, width - 1)
+                for j in range(min(width, total // b) + 1))
+    if not count:
         raise ValueError("no rows: total %d unreachable" % total)
-    return FiniteMatrix(rows, width)
+    kept = _kept(count, row_budget)
+    _check_counted([kept], "constant_rowsum_rows")
+    box = (d for d in product(range(entry_bound + 1), repeat=width) if sum(d) == total)
+    return FiniteMatrix([SparseRow((c, v) for c, v in enumerate(d) if v)
+                         for d in islice(box, kept)], width)
 
 
 def block_sums_matrix(blocks, row_budget=None):
@@ -231,22 +237,17 @@ def block_sums_matrix(blocks, row_budget=None):
     for b in blocks:
         offsets.append(width)
         width += b.width
-    count = 1
-    for b in blocks:
-        count *= len(b.rows) + 1
-    _check_budget(count, "block_sums_matrix")
+    kept = _kept(math.prod(len(b.rows) + 1 for b in blocks) - 1, row_budget)
+    _check_built(kept, "rows", "block_sums_matrix")
     rows = []
-    for choice in product(*[range(len(b.rows) + 1) for b in blocks]):
-        if not any(choice):
-            continue
+    # the first choice picks no block at all
+    for choice in islice(product(*[range(len(b.rows) + 1) for b in blocks]), 1, kept + 1):
         row = SparseRow()
         for bi, ci in enumerate(choice):
             if ci:
                 for c, v in blocks[bi].rows[ci - 1].items():
                     row[offsets[bi] + c] = v
         rows.append(row)
-        if row_budget is not None and len(rows) >= row_budget:
-            break
     return FiniteMatrix(rows, width)
 
 

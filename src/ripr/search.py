@@ -49,11 +49,11 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import chain
 
-from .matgen import _BUILD_GUARD, _check_budget, is_first_entries
+from .matgen import _check_budget, _check_counted, is_first_entries
 from .ratcore import DimensionMismatch, ImageSet, SparseRow, apply, image
-from .seqs import block_tuples, coeff_seq, rationally_proportional
+from .seqs import _mt_row_counts, _mt_row_maps, coeff_seq, rationally_proportional
 
 DEFAULT_NODE_BUDGET = 10**7
 
@@ -247,31 +247,16 @@ def _node_rows(rows, x):
     return [(sum(c * x[j] for j, c in lower), top, den, tag) for lower, top, den, tag in rows]
 
 
-def _mt_row_counts(k, length):
-    """Rows of a k-term system over entry prefixes of the given length, by the
-    number s of entries a block tuple uses: s entries cut into k nonempty runs,
-    in comb(s-1, k-1) ways."""
-    return (math.comb(length, s) * math.comb(s - 1, k - 1) for s in range(k, length + 1))
-
-
 def _mt_rows(a, length):
-    """Compiled rows of the a-system over entry prefixes of the given length,
-    one per block tuple."""
-    return _compile_rows(
-        (({t: a[i] for i, f in enumerate(tup) for t in f}, None)
-         for tup in block_tuples(length, len(a) - 1)),
-        length,
-    )
+    """Compiled rows of the a-system over entry prefixes of the given length."""
+    return _compile_rows(((coeffs, None) for coeffs in _mt_row_maps(a, length)), length)
 
 
 def _mt_systems(systems, length):
     """_mt_rows of each coefficient sequence in systems, refused with
-    ValueError before any is compiled when together they pass the row guard.
-    Counting stops as soon as the running total passes it."""
-    counts = chain.from_iterable(_mt_row_counts(len(a), length) for a in systems)
-    if any(total > _BUILD_GUARD for total in accumulate(counts)):
-        raise ValueError("a %d-entry prefix would compile more than %d rows; too large"
-                         % (length, _BUILD_GUARD))
+    ValueError before any is compiled when together they pass the row guard."""
+    _check_counted(chain.from_iterable(_mt_row_counts(len(a), length) for a in systems),
+                   "a %d-entry prefix" % length)
     return [_mt_rows(a, length) for a in systems]
 
 

@@ -6,6 +6,7 @@ values are sums a_0*s_0 + ... + a_k*s_k where s_i sums x over a block F_i
 and the blocks are nonempty index sets with max F_i < min F_{i+1}.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -84,6 +85,19 @@ def block_tuples(n, k):
 
     if n >= k + 1:
         yield from rec(0, k)
+
+
+def _mt_row_counts(k, n):
+    """Rows of a k-term system over n entries, by the number s of entries a
+    block tuple uses: s entries cut into k nonempty runs, in comb(s-1, k-1) ways."""
+    return (math.comb(n, s) * math.comb(s - 1, k - 1) for s in range(k, n + 1))
+
+
+def _mt_row_maps(a, n):
+    """{entry: coefficient} of each a-system row over n entries, one per
+    block tuple in block_tuples' order, entries ascending."""
+    return ({t: a[i] for i, f in enumerate(tup) for t in f}
+            for tup in block_tuples(n, len(a) - 1))
 
 
 def _canon_order(tup):

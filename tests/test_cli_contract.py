@@ -246,6 +246,10 @@ def test_cli_contract_examples(files):
         (["gen", "band:1:600000"], 2),
         (["gen", "mpc:13,2,1"], 2),
         (["gen", "deuber:13,1,1"], 2),
+        (["gen", "mt:1:20"], 2),
+        (["gen", "rowsum:11:23:1"], 2),
+        # mpc and deuber are guarded by the rows they build, not by (p+1)^m
+        (["gen", "mpc:2,10000,1"], 0),
         (["separate", "--a", "1", "--b", "2,1", "--colouring", "mod:2", "--prefix", "18",
           "--bound", "3"], 2),
         # the row guard stops counting once the count passes it

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -25,7 +27,7 @@ from ripr.matgen import (
     schur_matrix,
     stack,
 )
-from ripr.ratcore import FiniteMatrix, apply, image
+from ripr.ratcore import FiniteMatrix, SparseRow, apply, image
 from ripr.seqs import compress, fs_over_sets, mt_image
 
 
@@ -63,6 +65,8 @@ def test_finite_sums_matrix_build_guard(monkeypatch):
     (band_matrix, ((1, 2), 3), ((1,), 600000), 600000),
     (mpc_matrix, (3, 2, 1), (13, 2, 1), (3**13 - 1) // 2),
     (deuber_matrix, (3, 1, 2), (13, 1, 1), (3**13 - 1) // 2),
+    (block_sums_matrix, ([schur_matrix(), identity_matrix(1)],), ([identity_matrix(1)] * 20,),
+     2**20 - 1),
 ])
 def test_row_families_build_guard(monkeypatch, build, small, large, rows):
     # past the guard the builder refuses before it builds a row
@@ -74,6 +78,27 @@ def test_row_families_build_guard(monkeypatch, build, small, large, rows):
     assert len(build(*small).rows) == n
     monkeypatch.setattr(matgen, "_BUILD_GUARD", n - 1)
     with pytest.raises(ValueError, match=" %d rows" % n):
+        build(*small)
+
+
+@pytest.mark.parametrize("build, small, large", [
+    (milliken_taylor_rows, ((2, 1), 5), ((1,), 20)),
+    # the rows are sorted before a budget cuts them, so every row counts
+    (milliken_taylor_rows, ((1, -1, 1), 6), ((2, 1), 3000, 5)),
+    (constant_rowsum_rows, (4, 3, 2), (11, 23, 1)),
+    # the box is swept in order, so only the rows a budget keeps count
+    (constant_rowsum_rows, (4, 3, 2, 4), (11, 23, 1, 524289)),
+])
+def test_counted_families_build_guard(monkeypatch, build, small, large):
+    # past the guard the builder refuses at once and names the guard, not a count past it
+    with pytest.raises(ValueError, match="build more than 524288 rows"):
+        build(*large)
+    # the count is exact: a guard at the rows built lets them through
+    n = len(build(*small).rows)
+    monkeypatch.setattr(matgen, "_BUILD_GUARD", n)
+    assert len(build(*small).rows) == n
+    monkeypatch.setattr(matgen, "_BUILD_GUARD", n - 1)
+    with pytest.raises(ValueError, match="more than %d rows" % (n - 1)):
         build(*small)
 
 
@@ -90,6 +115,28 @@ def test_milliken_taylor_rows_compress_back():
     assert dense == [(0, 2, 1), (2, 0, 1), (2, 1, 0), (2, 1, 1), (2, 2, 1)]
     for r in M.rows:
         assert compress(r.dense(3)) == (2, 1)
+
+
+def _dense_sweep_mt_rows(a, column_bound, row_budget=None):
+    """Every dense row over {0} and the terms of a, in lexicographic order,
+    kept when it compresses to a; a budget stops the sweep after that many
+    rows, and after the first one when it is below one."""
+    rows = []
+    for dense in product(sorted({0, *a}), repeat=column_bound):
+        if any(dense) and compress(dense) == a:
+            rows.append(SparseRow((c, v) for c, v in enumerate(dense) if v))
+            if row_budget is not None and len(rows) >= row_budget:
+                break
+    return FiniteMatrix(rows, column_bound)
+
+
+@pytest.mark.parametrize("a", [(2, 1), (1,), (1, -1, 1), (3, 1, 2), (-1, 2), (1, 2, 1, 2),
+                               (Fraction(1, 2), -3)])
+def test_milliken_taylor_rows_match_dense_sweep(a):
+    for w in range(9):
+        for row_budget in (None, -1, 0, 1, 3, 10):
+            got = milliken_taylor_rows(a, w, row_budget).to_obj()
+            assert got == _dense_sweep_mt_rows(a, w, row_budget).to_obj(), (w, row_budget)
 
 
 def test_milliken_taylor_rows_route_matches_direct_image():
@@ -164,6 +211,22 @@ def test_constant_rowsum_rows():
     assert all(sum(r.dense(3)) == 3 for r in constant_rowsum_rows(3, 3, 2).rows)
     with pytest.raises(ValueError):
         constant_rowsum_rows(5, 2, 1)  # unreachable total
+
+
+def test_constant_rowsum_row_count_is_exact(monkeypatch):
+    # the guard's inclusion-exclusion count against a sweep of the box
+    for total, width, bound in product(range(1, 7), range(1, 6), (None, -1, 0, 1, 2, 3, 7)):
+        top = total if bound is None else bound
+        rows = sum(sum(d) == total for d in product(range(top + 1), repeat=width))
+        monkeypatch.setattr(matgen, "_BUILD_GUARD", rows)
+        if not rows:
+            with pytest.raises(ValueError, match="no rows"):
+                constant_rowsum_rows(total, width, bound)
+            continue
+        assert len(constant_rowsum_rows(total, width, bound).rows) == rows
+        monkeypatch.setattr(matgen, "_BUILD_GUARD", rows - 1)
+        with pytest.raises(ValueError, match="more than %d rows" % (rows - 1)):
+            constant_rowsum_rows(total, width, bound)
 
 
 def test_block_sums_matrix():

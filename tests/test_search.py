@@ -27,7 +27,6 @@ from ripr.matgen import (
 from ripr.ratcore import DimensionMismatch, FiniteMatrix, SparseRow, apply, image
 from ripr.search import (
     _compile_rows,
-    _mt_row_counts,
     _mt_rows,
     _as_int_value,
     _forcing_images,
@@ -46,7 +45,14 @@ from ripr.search import (
     refute_nonconstant,
     translate_witness,
 )
-from ripr.seqs import block_tuples, coeff_seq, fs_image, mt_image, translated_mt_image
+from ripr.seqs import (
+    _mt_row_counts,
+    block_tuples,
+    coeff_seq,
+    fs_image,
+    mt_image,
+    translated_mt_image,
+)
 
 
 def _brute_least(A, col, cfg):
