@@ -16,7 +16,8 @@ _ENUM_GUARD = 10**7
 
 def _check_budget(count, what):
     if count > _ENUM_GUARD:
-        raise ValueError("%s would enumerate %d candidates; too large" % (what, count))
+        raise ValueError("%s would enumerate more than %d candidates; too large"
+                         % (what, _ENUM_GUARD))
 
 
 # Rows (or columns) one matrix may be built with, and rows one search may
@@ -27,14 +28,19 @@ _BUILD_GUARD = 2**19
 
 def _check_built(count, unit, what):
     if count > _BUILD_GUARD:
-        raise ValueError("%s would build %d %s; too large" % (what, count, unit))
+        raise ValueError("%s would build more than %d %s; too large" % (what, _BUILD_GUARD, unit))
 
 
-def _check_counted(counts, what):
-    """Refuse with ValueError once the running total of counts passes the build
-    guard; counting stops there, so the refusal names no count past it."""
-    if any(total > _BUILD_GUARD for total in accumulate(counts)):
-        raise ValueError("%s would build more than %d rows; too large" % (what, _BUILD_GUARD))
+def _check_counted(counts, what, row_budget=None):
+    """The rows row_budget keeps of the sum of counts, refused with ValueError
+    past the build guard; counting stops once the running total passes it."""
+    total = 0
+    for total in accumulate(counts):
+        if total > _BUILD_GUARD:
+            break
+    kept = _kept(total, row_budget)
+    _check_built(kept, "rows", what)
+    return kept
 
 
 def _kept(count, row_budget):
@@ -84,10 +90,9 @@ def milliken_taylor_rows(a, column_bound, row_budget=None):
     """All rows over column_bound columns that compress to the coefficient
     sequence a, one per block tuple, in ascending order of their dense tuples."""
     a = coeff_seq(a)
-    _check_counted(_mt_row_counts(len(a), column_bound), "milliken_taylor_rows")
-    rows = sorted(_mt_row_maps(a, column_bound),
-                  key=lambda r: [r.get(c, 0) for c in range(column_bound)])
-    return FiniteMatrix(rows[:_kept(len(rows), row_budget)], column_bound)
+    kept = _check_counted(_mt_row_counts(len(a), column_bound), "milliken_taylor_rows",
+                          row_budget)
+    return FiniteMatrix(islice(_mt_row_maps(a, column_bound), kept), column_bound)
 
 
 def band_matrix(coeffs, nrows, width=None):
@@ -210,15 +215,16 @@ def constant_rowsum_rows(total, width, entry_bound=None, row_budget=None):
         raise ValueError("total and width must be positive")
     if entry_bound is None:
         entry_bound = total
-    _check_budget((entry_bound + 1) ** width, "constant_rowsum_rows")
-    # inclusion-exclusion over the j entries past the bound; below 0 no row fits, as at 0
-    b = max(entry_bound, 0) + 1
+    if total > width * entry_bound:
+        raise ValueError("no rows: total %d unreachable" % total)
+    # entry_bound >= 1 here, so a box of width 24 is already past the guard
+    _check_budget((entry_bound + 1) ** min(width, 24), "constant_rowsum_rows")
+    # inclusion-exclusion over the j entries past the bound
+    b = entry_bound + 1
     count = sum((-1) ** j * math.comb(width, j) * math.comb(total - j * b + width - 1, width - 1)
                 for j in range(min(width, total // b) + 1))
-    if not count:
-        raise ValueError("no rows: total %d unreachable" % total)
     kept = _kept(count, row_budget)
-    _check_counted([kept], "constant_rowsum_rows")
+    _check_built(kept, "rows", "constant_rowsum_rows")
     box = (d for d in product(range(entry_bound + 1), repeat=width) if sum(d) == total)
     return FiniteMatrix([SparseRow((c, v) for c, v in enumerate(d) if v)
                          for d in islice(box, kept)], width)

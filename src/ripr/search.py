@@ -49,7 +49,6 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from .matgen import _check_budget, _check_counted, is_first_entries
 from .ratcore import DimensionMismatch, ImageSet, SparseRow, apply, image
@@ -247,17 +246,13 @@ def _node_rows(rows, x):
     return [(sum(c * x[j] for j, c in lower), top, den, tag) for lower, top, den, tag in rows]
 
 
-def _mt_rows(a, length):
-    """Compiled rows of the a-system over entry prefixes of the given length."""
-    return _compile_rows(((coeffs, None) for coeffs in _mt_row_maps(a, length)), length)
-
-
 def _mt_systems(systems, length):
-    """_mt_rows of each coefficient sequence in systems, refused with
-    ValueError before any is compiled when together they pass the row guard."""
-    _check_counted(chain.from_iterable(_mt_row_counts(len(a), length) for a in systems),
+    """The compiled rows of each coefficient sequence's system over entry prefixes
+    of the given length, refused before any is compiled past the row guard."""
+    _check_counted((m for a in systems for m in _mt_row_counts(len(a), length)),
                    "a %d-entry prefix" % length)
-    return [_mt_rows(a, length) for a in systems]
+    return [_compile_rows(((coeffs, None) for coeffs in _mt_row_maps(a, length)), length)
+            for a in systems]
 
 
 def _backtrack(depth, candidates, extend, counter, state):

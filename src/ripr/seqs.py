@@ -71,20 +71,12 @@ def block_tuples(n, k):
     Yield order is an implementation detail; callers needing the canonical
     enumeration order (by max of the union, then block shape) sort explicitly.
     """
-    def rec(start, blocks_left):
-        # choose F over [start, n) leaving room for blocks_left more blocks
-        if blocks_left == 0:
-            for size in range(1, n - start + 1):
-                for f in combinations(range(start, n), size):
-                    yield (f,)
-            return
-        for size in range(1, n - start + 1):
-            for f in combinations(range(start, n), size):
-                for rest in rec(f[-1] + 1, blocks_left - 1):
-                    yield (f,) + rest
-
-    if n >= k + 1:
-        yield from rec(0, k)
+    # the rows of the system with distinct terms 1..k+1, each entry filed by its term
+    for row in _mt_row_maps(range(1, k + 2), n):
+        blocks = [[] for _ in range(k + 1)]
+        for t, i in row.items():
+            blocks[i - 1].append(t)
+        yield tuple(map(tuple, blocks))
 
 
 def _mt_row_counts(k, n):
@@ -94,10 +86,28 @@ def _mt_row_counts(k, n):
 
 
 def _mt_row_maps(a, n):
-    """{entry: coefficient} of each a-system row over n entries, one per
-    block tuple in block_tuples' order, entries ascending."""
-    return ({t: a[i] for i, f in enumerate(tup) for t in f}
-            for tup in block_tuples(n, len(a) - 1))
+    """{entry: coefficient} of each a-system row over n entries, one per block
+    tuple, in ascending order of the rows' dense tuples: a depth-first walk
+    sets entry c, in ascending order, to 0, the last term a[i] placed or the
+    next one, wherever enough entries are left for the terms still to come."""
+    k = len(a)
+    # steps[c][i + 1]: (value, index of the last term placed) for entry c after a[i]
+    steps = [[sorted(s for s in [(0, i)] + [(a[j], j) for j in (i, i + 1) if 0 <= j < k]
+                     if s[1] >= k - n + c) for i in range(-1, k)] for c in range(n)]
+    row, walk = {}, [iter(steps[0][0])] if n else []
+    while walk:
+        c = len(walk) - 1
+        row.pop(c, None)
+        step = next(walk[-1], None)
+        if step is None:
+            walk.pop()
+            continue
+        if step[0]:
+            row[c] = step[0]
+        if c + 1 < n:
+            walk.append(iter(steps[c + 1][step[1] + 1]))
+        else:
+            yield dict(row)
 
 
 def _canon_order(tup):
@@ -112,31 +122,24 @@ def mt_image(a, x):
     a = coeff_seq(a)
     x = _check_entries(x)
     tuples = sorted(block_tuples(len(x), len(a) - 1), key=_canon_order)
-    vals = []
-    for tup in tuples:
-        vals.append(sum(a[i] * sum(x[t] for t in f) for i, f in enumerate(tup)))
+    vals = [sum(a[i] * sum(x[t] for t in f) for i, f in enumerate(tup)) for tup in tuples]
     prov = {}
     for i, v in enumerate(vals):
-        if v not in prov:
-            prov[v] = i
+        prov.setdefault(v, i)
     return ImageSet(vals, prov)
 
 
 def fs_image(x):
     """Finite sums over nonempty subsets of the entries (coefficients <1>)."""
     x = _check_entries(x)
-    vals = []
-    for size in range(1, len(x) + 1):
-        for f in combinations(range(len(x)), size):
-            vals.append(sum(x[t] for t in f))
-    return ImageSet(vals)
+    return ImageSet(sum(x[t] for t in f)
+                    for size in range(1, len(x) + 1) for f in combinations(range(len(x)), size))
 
 
 def translated_mt_image(b, a, x):
     """b + each system value."""
     b = as_entry(b)
-    base = mt_image(a, x)
-    return ImageSet(b + v for v in base.values)
+    return ImageSet(b + v for v in mt_image(a, x).values)
 
 
 def fs_over_sets(sets):
@@ -151,13 +154,9 @@ def mt_over_sets(a, sets):
     sets = [sorted(set(s)) for s in sets]
     if any(not s for s in sets):
         raise ValueError("every entry set must be nonempty")
-    vals = set()
-    for tup in block_tuples(len(sets), len(a) - 1):
-        idxs = [t for f in tup for t in f]
-        for choice in product(*[sets[t] for t in idxs]):
-            chosen = dict(zip(idxs, choice))
-            vals.add(sum(a[i] * sum(chosen[t] for t in f) for i, f in enumerate(tup)))
-    return ImageSet(vals)
+    return ImageSet(sum(c * v for c, v in zip(row.values(), choice))
+                    for row in _mt_row_maps(a, len(sets))
+                    for choice in product(*[sets[t] for t in row]))
 
 
 def rationally_proportional(a, b):

@@ -248,6 +248,10 @@ def test_cli_contract_examples(files):
         (["gen", "deuber:13,1,1"], 2),
         (["gen", "mt:1:20"], 2),
         (["gen", "rowsum:11:23:1"], 2),
+        (["gen", "rowsum:100000:100000:0"], 2),
+        # a row budget builds only the rows it keeps
+        (["gen", "mt:1:20:5"], 0),
+        (["gen", "mt:2,1:3000:5"], 0),
         # mpc and deuber are guarded by the rows they build, not by (p+1)^m
         (["gen", "mpc:2,10000,1"], 0),
         (["separate", "--a", "1", "--b", "2,1", "--colouring", "mod:2", "--prefix", "18",

@@ -51,7 +51,7 @@ def test_finite_sums_matrix_and_schur():
 
 def test_finite_sums_matrix_build_guard(monkeypatch):
     # f:20 would build 2**20 - 1 rows, past the build guard of 2**19
-    with pytest.raises(ValueError, match="1048575 rows"):
+    with pytest.raises(ValueError, match="more than 524288 rows"):
         finite_sums_matrix(20)
     # f:19 is inside it; stub the rows to see that without building them
     monkeypatch.setattr(matgen, "finite_sums_row", lambda i: None)
@@ -69,24 +69,35 @@ def test_finite_sums_matrix_build_guard(monkeypatch):
      2**20 - 1),
 ])
 def test_row_families_build_guard(monkeypatch, build, small, large, rows):
-    # past the guard the builder refuses before it builds a row
-    with pytest.raises(ValueError, match=" %d rows" % rows):
-        build(*large)
     # the guard counts exactly the rows built: a guard at that count lets them through
     n = len(build(*small).rows)
     monkeypatch.setattr(matgen, "_BUILD_GUARD", n)
     assert len(build(*small).rows) == n
     monkeypatch.setattr(matgen, "_BUILD_GUARD", n - 1)
-    with pytest.raises(ValueError, match=" %d rows" % n):
+    with pytest.raises(ValueError, match="more than %d rows" % (n - 1)):
         build(*small)
+    # past the guard the builder refuses before it builds a row and names the guard
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="build more than 524288 rows"):
+        build(*large)
+    # it handed the guard the exact count, which the refusal no longer prints
+    counts = []
+
+    def refuse(count, unit, what):
+        counts.append(count)
+        raise ValueError(what)
+
+    monkeypatch.setattr(matgen, "_check_built", refuse)
+    with pytest.raises(ValueError):
+        build(*large)
+    assert counts == [rows]
 
 
 @pytest.mark.parametrize("build, small, large", [
     (milliken_taylor_rows, ((2, 1), 5), ((1,), 20)),
-    # the rows are sorted before a budget cuts them, so every row counts
-    (milliken_taylor_rows, ((1, -1, 1), 6), ((2, 1), 3000, 5)),
+    # the rows come in order, so only the rows a budget keeps count
+    (milliken_taylor_rows, ((1, -1, 1), 6, 4), ((2, 1), 3000, 524289)),
     (constant_rowsum_rows, (4, 3, 2), (11, 23, 1)),
-    # the box is swept in order, so only the rows a budget keeps count
     (constant_rowsum_rows, (4, 3, 2, 4), (11, 23, 1, 524289)),
 ])
 def test_counted_families_build_guard(monkeypatch, build, small, large):
@@ -137,6 +148,18 @@ def test_milliken_taylor_rows_match_dense_sweep(a):
         for row_budget in (None, -1, 0, 1, 3, 10):
             got = milliken_taylor_rows(a, w, row_budget).to_obj()
             assert got == _dense_sweep_mt_rows(a, w, row_budget).to_obj(), (w, row_budget)
+
+
+def test_milliken_taylor_rows_budget_stops_early():
+    # 3000 columns hold about 1500 * 2^3000 rows; a budget of five builds the least five
+    M = milliken_taylor_rows((2, 1), 3000, 5)
+    assert [sorted(r.items()) for r in M.rows] == [
+        [(2998, 2), (2999, 1)],
+        [(2997, 2), (2999, 1)],
+        [(2997, 2), (2998, 1)],
+        [(2997, 2), (2998, 1), (2999, 1)],
+        [(2997, 2), (2998, 2), (2999, 1)],
+    ]
 
 
 def test_milliken_taylor_rows_route_matches_direct_image():
@@ -211,6 +234,10 @@ def test_constant_rowsum_rows():
     assert all(sum(r.dense(3)) == 3 for r in constant_rowsum_rows(3, 3, 2).rows)
     with pytest.raises(ValueError):
         constant_rowsum_rows(5, 2, 1)  # unreachable total
+    # a total past width * entry_bound is refused before any count or sweep
+    for bound in (0, -1, 1):
+        with pytest.raises(ValueError, match="no rows"):
+            constant_rowsum_rows(10**5 + 1, 10**5, bound)
 
 
 def test_constant_rowsum_row_count_is_exact(monkeypatch):

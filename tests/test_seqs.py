@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -60,6 +61,12 @@ def test_block_tuple_counts():
     assert len(list(block_tuples(1, 1))) == 0  # too few entries
     for tup in block_tuples(4, 1):
         assert max(tup[0]) < min(tup[1])
+    # every tuple exactly once, against all tuples of nonempty subsets
+    for n, k in product(range(6), range(3)):
+        subsets = [f for size in range(1, n + 1) for f in combinations(range(n), size)]
+        want = [t for t in product(subsets, repeat=k + 1)
+                if all(max(f) < min(g) for f, g in zip(t, t[1:]))]
+        assert sorted(block_tuples(n, k)) == sorted(want), (n, k)
 
 
 def test_fs_anchors():
