@@ -275,7 +275,7 @@ def _h_colour(params):
         "outcome": "ok",
         "colours": [colour_obj(c) for c in cols],
         "common": colour_obj(common) if common is not None else None,
-        "reserved": [col.is_reserved(c) for c in cols],
+        "reserved": [c in col.reserved for c in cols],
     }
 
 

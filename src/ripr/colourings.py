@@ -36,9 +36,6 @@ class Colouring:
             c = memo[x] = self._fn(x)
         return c
 
-    def is_reserved(self, colour):
-        return colour in self.reserved
-
     def __repr__(self):
         return "Colouring(%s)" % self.kind
 
@@ -50,28 +47,17 @@ def mod_colouring(m):
     return Colouring("mod", lambda x: x % m, params={"m": m})
 
 
-def table_colouring(table, default=None):
-    """Explicit finite table; values outside it get default, or raise."""
+def table_colouring(table):
+    """Explicit finite table; values outside it raise ValueError."""
     table = dict(table)
 
     def fn(x):
-        if x in table:
+        try:
             return table[x]
-        if default is None:
-            raise ValueError("value %d not covered by the table" % x)
-        return default
+        except KeyError:
+            raise ValueError("value %d not covered by the table" % x) from None
 
     return Colouring("table", fn)
-
-
-def _small_primes():
-    yield 2
-    yield 3
-    p = 5
-    while True:
-        yield p
-        yield p + 2
-        p += 6
 
 
 def _is_prime(n):
@@ -114,11 +100,9 @@ def prime_exponent_colouring(b, c):
     p = min(set(_prime_factors(ratio.numerator)) | set(_prime_factors(ratio.denominator)))
     i = rational_valuation(b, p)
     j = rational_valuation(c, p)
-    q = None
-    for cand in _small_primes():
-        if cand > max(abs(i), abs(j)) and (i - j) % cand != 0:
-            q = cand
-            break
+    q = max(abs(i), abs(j)) + 1
+    while not _is_prime(q) or (i - j) % q == 0:
+        q += 1
 
     def fn(x):
         return rational_valuation(x, p) % q

@@ -77,8 +77,7 @@ def pairwise_sum_rows(column_bound, row_budget=None):
     """Finite-sums rows with at most two ones: single entries and pairwise sums."""
     if column_bound < 1:
         raise ValueError("need at least one column")
-    # the rows a slice [:row_budget] of all of them would keep
-    count = len(range(column_bound * (column_bound + 1) // 2)[:row_budget])
+    count = _kept(column_bound * (column_bound + 1) // 2, row_budget)
     _check_built(count, "rows", "pairwise_sum_rows")
     singles = ({c: 1} for c in range(column_bound))
     pairs = ({c: 1, d: 1} for c, d in combinations(range(column_bound), 2))
@@ -114,9 +113,20 @@ def band_matrix(coeffs, nrows, width=None):
     return FiniteMatrix(rows, width)
 
 
-def _first_entry_rows(m, c, later_digits):
+def _first_entry_rows(m, c, later_digits, what):
     """Rows over m columns: zeros, then c, then arbitrary digits from
-    later_digits.  Ordered by first-entry column, then lexicographically."""
+    later_digits.  Ordered by first-entry column, then lexicographically.
+
+    With b later digits there are (b^m - 1) / (b - 1) rows, at least 2^m - 1,
+    so an m whose 2^m - 1 already passes the build guard is refused without
+    computing the exact count.
+    """
+    b = len(later_digits)
+    if m >= (_BUILD_GUARD + 1).bit_length():
+        count = _BUILD_GUARD + 1
+    else:
+        count = (b**m - 1) // (b - 1)
+    _check_built(count, "rows", what)
     rows = []
     for j in range(m):
         for tail in product(later_digits, repeat=m - 1 - j):
@@ -134,8 +144,7 @@ def mpc_matrix(m, p, c):
     """
     if m < 1 or p < 1 or c < 1:
         raise ValueError("m, p, c must be positive")
-    _check_built(((p + 1) ** m - 1) // p, "rows", "mpc_matrix")
-    return _first_entry_rows(m, c, range(p + 1))
+    return _first_entry_rows(m, c, range(p + 1), "mpc_matrix")
 
 
 def deuber_matrix(m, p, c):
@@ -145,33 +154,25 @@ def deuber_matrix(m, p, c):
     """
     if m < 1 or p < 1 or c < 1:
         raise ValueError("m, p, c must be positive")
-    _check_built(((2 * p + 1) ** m - 1) // (2 * p), "rows", "deuber_matrix")
-    return _first_entry_rows(m, c, range(-p, p + 1))
+    return _first_entry_rows(m, c, range(-p, p + 1), "deuber_matrix")
 
 
-def doubling_block_row(i, width=None):
+def doubling_block_row(i):
     """2 at column i and 1 across columns 2^i .. 2^(i+1)-1."""
     if i < 0:
         raise ValueError("row index must be >= 0")
-    need = 2 ** (i + 1)
-    if width is None:
-        width = need
-    elif width < need:
-        raise ValueError("width %d too small, row reaches column %d" % (width, need - 1))
     row = SparseRow({i: 2})
     for j in range(2**i, 2 ** (i + 1)):
         row[j] = row[j] + 1
     return row
 
 
-def doubling_block_matrix(n, width=None):
+def doubling_block_matrix(n):
     """Rows doubling_block_row(0..n-1) over 2^n columns."""
     if n < 1:
         raise ValueError("need at least one row")
     _check_built(2**n, "columns", "doubling_block_matrix")
-    if width is None:
-        width = 2**n
-    return FiniteMatrix([doubling_block_row(i, width) for i in range(n)], width)
+    return FiniteMatrix([doubling_block_row(i) for i in range(n)], 2**n)
 
 
 def doubling_system(n):
@@ -180,7 +181,7 @@ def doubling_system(n):
     return stack(identity_matrix(2**n), doubling_block_matrix(n))
 
 
-def grouped_sum_matrix(coeffs, width=None):
+def grouped_sum_matrix(coeffs):
     """First variable alone, then per block n: the block's variables alone
     followed by coeffs[n-1] times the first variable plus the block's sum.
 
@@ -190,12 +191,6 @@ def grouped_sum_matrix(coeffs, width=None):
     coeffs = tuple(coeffs)
     if not coeffs or any(c == 0 for c in coeffs):
         raise ValueError("block coefficients must be nonzero")
-    k = len(coeffs)
-    need = k * (k + 1) // 2 + 1
-    if width is None:
-        width = need
-    elif width < need:
-        raise ValueError("width %d too small for %d blocks" % (width, k))
     rows = [SparseRow({0: 1})]
     col = 1
     for n, c in enumerate(coeffs, start=1):
@@ -206,7 +201,7 @@ def grouped_sum_matrix(coeffs, width=None):
             combined[j] = 1
         rows.append(combined)
         col += n
-    return FiniteMatrix(rows, width)
+    return FiniteMatrix(rows, col)
 
 
 def constant_rowsum_rows(total, width, entry_bound=None, row_budget=None):

@@ -63,12 +63,6 @@ class SparseRow(dict):
         """Hashable canonical form, for deduplication and stable ordering."""
         return tuple(sorted((c,) + entry_ratio(v) for c, v in self.items()))
 
-    def first_entry(self):
-        """Entry at the least occupied column, or None for the zero row."""
-        if not self:
-            return None
-        return self[min(self)]
-
     def dot(self, x):
         return sum(v * x[c] for c, v in self.items())
 
@@ -94,7 +88,6 @@ class FiniteMatrix:
     def __init__(self, rows, width, allow_duplicate_rows=False):
         self.rows = [r if isinstance(r, SparseRow) else SparseRow(r) for r in rows]
         self.width = width
-        self.allow_duplicate_rows = allow_duplicate_rows
         if width < 0:
             raise ValueError("width must be non-negative")
         for r in self.rows:

@@ -1,6 +1,8 @@
 import json
 import os
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -31,6 +33,26 @@ def _capture(capsys, argv):
     return code, out.out, out.err
 
 
+def test_readme_cli_examples_run(capsys):
+    # the ripr lines of the sh block under README's "## CLI" that name no file
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```", text, re.M | re.S).group(1)
+    ran = bounds = 0
+    for line in block.splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv[:1] != ["ripr"] or any(a.endswith(".json") for a in argv):
+            continue
+        code, out, err = _capture(capsys, argv[1:])
+        assert code == 0, (argv, err)
+        ran += 1
+        # a trailing "# bound N" comment states the answer
+        bound = re.search(r"#\s*bound (\d+)", line)
+        if bound:
+            assert json.loads(out)["bound"] == int(bound.group(1)), argv
+            bounds += 1
+    assert (ran, bounds) == (12, 1)
+
+
 def test_canonical_format():
     assert canonical({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}\n'
 
@@ -47,6 +69,12 @@ def test_parse_family_slugs():
     for surplus in ("f:3:9", "schur:1", "mt:2,1:4:3:1", "mpc:2,2,1:1"):
         with pytest.raises(ValueError):
             parse_family(surplus)
+
+
+@pytest.mark.parametrize("slug", ["fprime:4:0", "fprime:4:-3", "mt:2,1:4:0", "mt:2,1:4:-3",
+                                  "rowsum:4:3:2:0"])
+def test_rows_field_keeps_at_least_one_row(slug):
+    assert len(parse_family(slug)) == 1
 
 
 def test_parse_colouring_slugs():

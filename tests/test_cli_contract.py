@@ -246,6 +246,9 @@ def test_cli_contract_examples(files):
         (["gen", "band:1:600000"], 2),
         (["gen", "mpc:13,2,1"], 2),
         (["gen", "deuber:13,1,1"], 2),
+        # at least 2^m - 1 rows: refused before the exact count is computed
+        (["gen", "mpc:1000000,1000000,1"], 2),
+        (["gen", "deuber:1000000,1000000,1"], 2),
         (["gen", "mt:1:20"], 2),
         (["gen", "rowsum:11:23:1"], 2),
         (["gen", "rowsum:100000:100000:0"], 2),

@@ -43,8 +43,6 @@ def test_table_colouring():
     assert col.colour(1) == "a"
     with pytest.raises(ValueError):
         col.colour(3)
-    col2 = table_colouring({1: "a"}, default="z")
-    assert col2.colour(99) == "z"
 
 
 def test_rational_valuation():
@@ -62,6 +60,14 @@ def test_prime_exponent_params():
     col41 = prime_exponent_colouring(4, 1)
     assert (col41.params["p"], col41.params["q"]) == (2, 3)
     assert col41.colour(4) == 2 and col41.colour(1) == 0
+
+
+def test_prime_exponent_q_is_prime():
+    # exponents 24 and 1 (34 and 1) differ by 23 (33); the least primes past
+    # 24 and 34 are 29 and 37, not the 6k +- 1 composites 25 and 35
+    for b, i, q in ((2**24, 24, 29), (2**34, 34, 37)):
+        col = prime_exponent_colouring(b, 2)
+        assert (col.params["i"], col.params["j"], col.params["q"]) == (i, 1, q)
 
 
 def test_prime_exponent_skips_q_dividing_gap():
@@ -126,9 +132,9 @@ def test_negabase_gap_reserved_class():
     col = negabase_gap_colouring(7, (1, 2))
     assert col.colour(1) == ("small",)
     assert col.colour(7**4) == ("small",)
-    assert col.is_reserved(col.colour(7**4))
+    assert col.colour(7**4) in col.reserved
     big = col.colour(7**4 + 1)
-    assert big[0] == "big" and not col.is_reserved(big)
+    assert big[0] == "big" and big not in col.reserved
 
 
 def test_negabase_gap_components():

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -120,6 +121,15 @@ def test_pairwise_sum_rows():
     assert len(pairwise_sum_rows(4, row_budget=5)) == 5
 
 
+@pytest.mark.parametrize("build", [mpc_matrix, deuber_matrix])
+def test_first_entry_families_refuse_huge_m_at_once(build):
+    # 2^m - 1 rows at least: refused before (p+1)^m, some 20 million bits, is computed
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="build more than 524288 rows"):
+        build(10**6, 10**6, 1)
+    assert time.monotonic() - start < 0.5
+
+
 def test_milliken_taylor_rows_compress_back():
     M = milliken_taylor_rows((2, 1), 3)
     dense = sorted(r.dense(3) for r in M.rows)
@@ -205,8 +215,6 @@ def test_doubling_rows():
     assert doubling_block_matrix(2).dense() == [(2, 1, 0, 0), (0, 2, 1, 1)]
     sys1 = doubling_system(1)
     assert sys1.dense() == [(1, 0), (0, 1), (2, 1)]
-    with pytest.raises(ValueError):
-        doubling_block_row(2, width=7)
 
 
 def test_grouped_sum_matrix():

@@ -45,8 +45,6 @@ def test_row_helpers():
     assert r.dense(4) == (0, 2, -1, 0)
     assert r.support() == {1, 2}
     assert r.max_column() == 2
-    assert r.first_entry() == 2
-    assert SparseRow().first_entry() is None
     assert r.shifted(2).dense(5) == (0, 0, 0, 2, -1)
 
 

@@ -182,7 +182,7 @@ def _brute_separation(col, a, b, length, bound):
     ys = [(y, _mono_colour(col, mt_image(b, y))) for y in prefixes]
     for x in prefixes:
         c = _mono_colour(col, mt_image(a, x))
-        if c is None or col.is_reserved(c):
+        if c is None or c in col.reserved:
             continue
         for y, cy in ys:
             if cy == c:
