@@ -202,16 +202,17 @@ def negabase_gap_colouring(p, coeffs):
             e = negabase_digits(a * x, p)
             if a == 1:
                 own = e
-            for pat, count in gap_tally(e).items():
-                r = count % p
-                if r:
-                    finger.append(((a, pat), r))
+            if len(e.digits) >= 9:  # a gap site needs s >= 4 and t >= s + 4
+                for pat, count in gap_tally(e).items():
+                    r = count % p
+                    if r:
+                        finger.append(((a, pat), r))
         if own is None:
             own = negabase_digits(x, p)
         # x > p^4 puts the max support of x at 4 or above, so four top digits exist
         d = own.digits
         lead = (d[-1], d[-2], d[-3], d[-4])
-        return ("big", lead, d[own.min_support()], tuple(sorted(finger)))
+        return ("big", lead, next(filter(None, d)), tuple(sorted(finger)))
 
     return Colouring(
         "notrapid",

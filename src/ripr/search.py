@@ -3,18 +3,19 @@ separation sweeps, image domination, certificates.
 
 All searches are deterministic: a fixed request gives the same answer and
 the same node count.  The monochromatic, forcing, domination, separation and
-translation searches share one depth-first engine, _backtrack, which tries
-candidate entries in increasing order and counts one node per candidate
-tried; the first complete assignment it yields is therefore the
-lexicographically least.  The engine keeps an explicit stack, so a walk may
-be as deep as its input asks.  A budget hit is reported via exhausted=False
-(forcing_bound raises BudgetExceeded) and withdraws the leastness guarantee
-on any witness found.
+translation searches share one depth-first engine, _backtrack, and hand it
+one callback, children(d, state): a generator that tries the candidates for
+entry d in increasing order, counts one node per candidate tried and yields
+the child state of each survivor.  The first complete assignment is
+therefore the lexicographically least.  The engine keeps only a stack of
+child generators, so a walk may be as deep as its input asks.  A budget hit
+is reported via exhausted=False (forcing_bound raises BudgetExceeded) and
+withdraws the leastness guarantee on any witness found.
 
 Each search except forcing compiles its values once, before the walk, as
 exact coefficient rows (matrix rows or MT block tuples) bucketed by top
 column, the last entry a row reads; see _compile_rows.  Entering a
-node at depth d (the engine asks for its candidates once per node) fixes the
+node at depth d (the first step of its children generator) fixes the
 partial sum of every row whose top column is d, so each candidate v then
 costs one multiply-add per row.  Rows stay on plain ints:
 a row with a non-integral coefficient is scaled to integers and its value
@@ -40,9 +41,9 @@ _Classes.  Such a value is not coloured again: the node leaves x_d's own row
 unchecked, unless distinct_image needs its value.  The span values skipped
 still count one node each, so witnesses, node counts and budget stops are
 exactly those of the walk over the whole span.  Separation narrows the same
-way but counts only the members it tries.  _backtrack counts each candidate
-it tries itself; _Counter.skip, which charges skipped values in one step, is
-the only batched count.
+way but counts only the members it tries.  Each children generator counts
+the candidates it tries itself; _Counter.skip, which charges skipped values
+in one step, is the only batched count.
 """
 
 import math
@@ -67,6 +68,8 @@ class _Counter:
     __slots__ = ("n", "limit")
 
     def __init__(self, limit):
+        if limit is not None and limit < 0:
+            raise ValueError("the node budget must be at least 0")
         self.n = 0
         self.limit = DEFAULT_NODE_BUDGET if limit is None else limit
 
@@ -115,7 +118,8 @@ class _Classes:
 
         Given a counter, each span value before, between and after them
         counts as one node tried and pruned, and _BudgetHit is raised exactly
-        where stepping through them one at a time would raise it.
+        where stepping through them one at a time would raise it; the walk
+        that tries the members counts them itself, one node each.
         """
         if counter is not None:
             return self._counted(c, counter)
@@ -255,46 +259,33 @@ def _mt_systems(systems, length):
             for a in systems]
 
 
-def _backtrack(depth, candidates, extend, counter, state):
+def _backtrack(depth, children, state):
     """Depth-first walk over assignments of depth entries.
 
-    candidates(d, state) gives the values tried for entry d, in order; it is
-    called once per node entered, before any of them is extended.
-    extend(d, v, state) fixes entry d to v and returns the child state, or
-    None to prune.  Yields the state of every complete assignment in
-    lexicographic order.  Each candidate tried counts one node, so _BudgetHit
-    escapes from the generator once the counter runs out.
+    children(d, state) is a generator over the candidates for entry d: it
+    counts each candidate it tries as one node before testing it, raising
+    _BudgetHit once the counter runs out, and yields, in increasing order,
+    the child state of each one that survives.  Yields the state of every
+    complete assignment in lexicographic order.
 
-    The walk keeps its own stack of candidate iterators and parent states,
-    so its depth is not limited by the interpreter's recursion limit.
+    The walk keeps its own stack of child generators, so its depth is not
+    limited by the interpreter's recursion limit.
     """
-    limit = counter.limit
     last = depth - 1
     d = 0
-    its = [iter(candidates(0, state))]
-    states = [state]
+    its = [children(0, state)]
     while True:
-        parent = states[d]
-        for v in its[d]:
-            # counter.n, not a local: _Counter.skip advances it inside the loop
-            counter.n += 1
-            if counter.n > limit:
-                raise _BudgetHit
-            child = extend(d, v, parent)
-            if child is None:
-                continue
+        for child in its[d]:
             if d == last:
                 yield child
             else:
                 d += 1
-                its.append(iter(candidates(d, child)))
-                states.append(child)
+                its.append(children(d, child))
                 break
         else:
             if d == 0:
                 return
             its.pop()
-            states.pop()
             d -= 1
 
 
@@ -321,54 +312,58 @@ def _mono_walk(by_top, x, classes, counter, colour=None, distinct_entries=True,
     only the common colour's class once the colour is known (see _unit_rows),
     and x_d's row goes unchecked there, since each member already has the
     common colour, except under distinct_image, which files its value.
-    count_skips counts each span value skipped as one node tried, in one
-    _Counter.skip per run of them; _backtrack counts the members tried.
+    The walk's children fixes a node's rows once, counts each value it tries
+    as one node and tests that value's rows inline; count_skips counts each
+    span value skipped as one node too, in one _Counter.skip per run of them.
     """
-    span, colour_of = classes.span, classes.colour_of
+    span, colour_of, limit = classes.span, classes.colour_of, counter.limit
     rest = _unit_rows(by_top)
     # under distinct_image a unit row's value must still enter the owner map
     narrowed = by_top if distinct_image else rest
     skips = counter if count_skips else None
-    rows_now = [None] * len(by_top)  # rows_now[d]: the rows checked at d, at the current node
 
-    def candidates(d, state):
-        if rest[d] is not None and state[0] is not None:
-            # x_d prunes every value outside the common colour's class
-            rows_now[d] = _node_rows(narrowed[d], x)
-            return classes.members(state[0], skips)
-        rows_now[d] = _node_rows(by_top[d], x)
-        return span
-
-    def extend(d, v, state):
+    def children(d, state):
         # state: (common colour so far or None, value -> tag of the row taking it)
-        if distinct_entries and v in x[:d]:
-            return None
-        x[d] = v
         common, owner = state
-        for base, top, den, tag in rows_now[d]:
-            val = base + top * v
-            if den != 1:
-                val, rem = divmod(val, den)
-                if rem:
-                    return None
-            if val < 1:
-                return None
-            c = colour_of(val)
-            if common is None:
-                if c in reserved:
-                    return None
-                common = c
-            elif c != common:
-                return None
-            if distinct_image:
-                seen = owner.get(val)
-                if seen is None:
-                    owner = {**owner, val: tag}  # siblings keep the parent's map
-                elif seen != tag:
-                    return None
-        return common, owner
+        # once the colour is known, x_d prunes every value outside its class
+        narrow = rest[d] is not None and common is not None
+        rows = _node_rows((narrowed if narrow else by_top)[d], x)
+        values = classes.members(common, skips) if narrow else span
+        prior = x[:d] if distinct_entries else ()
+        for v in values:
+            # counter.n, not a local: _Counter.skip advances it inside members
+            counter.n += 1
+            if counter.n > limit:
+                raise _BudgetHit
+            if v in prior:
+                continue
+            got, seen_by = common, owner
+            for base, top, den, tag in rows:
+                val = base + top * v
+                if den != 1:
+                    val, rem = divmod(val, den)
+                    if rem:
+                        break
+                if val < 1:
+                    break
+                c = colour_of(val)
+                if got is None:
+                    if c in reserved:
+                        break
+                    got = c
+                elif c != got:
+                    break
+                if distinct_image:
+                    seen = seen_by.get(val)
+                    if seen is None:
+                        seen_by = {**seen_by, val: tag}  # siblings keep the parent's map
+                    elif seen != tag:
+                        break
+            else:
+                x[d] = v
+                yield got, seen_by
 
-    for common, _ in _backtrack(len(by_top), candidates, extend, counter, (colour, {})):
+    for common, _ in _backtrack(len(by_top), children, (colour, {})):
         yield common
 
 
@@ -383,12 +378,12 @@ def find_monochromatic(A, col, cfg, workers=1):
         raise ValueError("matrix has no rows")
     if workers < 1:
         raise ValueError("need at least one worker")
+    counter = _Counter(cfg.node_budget)
     if not all(A.rows):
         return SearchResult(None, 0, True)  # a zero row can never take a positive value
     by_top = _compile_rows(((r, r.key()) for r in A.rows), A.width)
     x = [0] * A.width
     classes = _Classes(col.colour, range(cfg.min_entry, cfg.variable_bound + 1))
-    counter = _Counter(cfg.node_budget)
     colour, exhausted = _first_leaf(_mono_walk(
         by_top, x, classes, counter, distinct_entries=cfg.distinct_entries,
         distinct_image=cfg.distinct_image))
@@ -536,9 +531,10 @@ def forcing_bound(A, colours, n_max, node_budget=None):
         raise ValueError("need at least one colour")
     if not A.rows:
         raise ValueError("matrix has no rows")
+    counter = _Counter(node_budget)
+    limit = counter.limit
     if n_max < 1:
         return ForcingResult(None, (), 0)
-    counter = _Counter(node_budget)
     plan = _image_plan(A)
     by_top = {}  # d -> per image with largest value d + 1, the indices of its other values
     reach = 0  # by_top holds every image inside [1, reach]
@@ -546,8 +542,9 @@ def forcing_bound(A, colours, n_max, node_budget=None):
     cert = []  # the first colouring reached at the deepest depth so far
     synced = 0  # colour[:synced] == cert[:synced]
 
-    def candidates(d, opened):
-        nonlocal reach
+
+    def children(d, opened):
+        nonlocal reach, synced
         if d >= reach:
             old, reach = reach, min(n_max, 2 * (d + 1))
             for s in _forcing_images(plan, reach):
@@ -555,27 +552,29 @@ def forcing_bound(A, colours, n_max, node_budget=None):
                 if m > old:
                     by_top.setdefault(m - 1, []).append(
                         tuple(v - 1 for v in sorted(s) if v != m))
-        return range(min(opened + 1, colours))
-
-    def extend(d, c, opened):
-        nonlocal synced
-        for others in by_top.get(d, ()):
-            for i in others:
-                if colour[i] != c:
-                    break
+        images = by_top.get(d, ())
+        for c in range(min(opened + 1, colours)):
+            counter.n += 1
+            if counter.n > limit:
+                raise _BudgetHit
+            for others in images:
+                for i in others:
+                    if colour[i] != c:
+                        break
+                else:
+                    break  # every other value of this image has colour c
             else:
-                return None
-        colour[d:] = (c,)
-        if d < synced:
-            synced = d
-        if d == len(cert):
-            # every entry from synced to d was set since the last copy
-            cert[synced:] = colour[synced:]
-            synced = d + 1
-        return max(opened, c + 1)
+                colour[d:] = (c,)
+                if d < synced:
+                    synced = d
+                if d == len(cert):
+                    # every entry from synced to d was set since the last copy
+                    cert[synced:] = colour[synced:]
+                    synced = d + 1
+                yield max(opened, c + 1)
 
     try:
-        leaf = next(_backtrack(n_max, candidates, extend, counter, 0), None)
+        leaf = next(_backtrack(n_max, children, 0), None)
     except _BudgetHit:
         raise BudgetExceeded(
             "forcing search at n=%d exceeds the node budget" % (len(cert) + 1)
@@ -596,12 +595,12 @@ def find_dominated_assignment(A, B, x, y_bound, node_budget=None):
     target = frozenset(target_vals)
     if not B.rows:
         raise ValueError("probe matrix has no rows")
+    counter = _Counter(node_budget)
     if not all(B.rows):
         return SearchResult(None, 0, True)
     by_top = _compile_rows(((r, None) for r in B.rows), B.width)
     y = [0] * B.width
     inside = _Classes(target.__contains__, range(1, y_bound + 1))
-    counter = _Counter(node_budget)
     # a value's colour is whether the target holds it; every row must take a held value
     found, exhausted = _first_leaf(_mono_walk(by_top, y, inside, counter, colour=True,
                                               distinct_entries=False))
@@ -716,10 +715,10 @@ def check_separation(col, a, b, prefix_len, value_bound, node_budget=None):
     """
     a = coeff_seq(a)
     b = coeff_seq(b)
+    counter = _Counter(node_budget)
     r = rationally_proportional(a, b)
     if r is not None:
         return SeparationReport("proportional", r, None, 0)
-    counter = _Counter(node_budget)
     if prefix_len < len(a) or prefix_len < len(b):
         # one side's image is empty at this prefix length, so no witness
         return SeparationReport("none-within-bounds", None, None, 0)

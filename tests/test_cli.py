@@ -481,6 +481,26 @@ def test_main_search_budget_zero_means_zero(capsys):
     assert (rep["outcome"], rep["nodes"], rep["exhausted"]) == ("budget", 1, False)
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "--family", "schur", "--colouring", "mod:2", "--bound", "10"],
+    ["dominate", "--a-family", "f:4", "--b-family", "ap:3", "--x", "1,4,16,64",
+     "--ybound", "85"],
+    ["separate", "--a", "1", "--b", "2,1", "--colouring", "mod:2", "--prefix", "3",
+     "--bound", "20"],
+    ["translate-search", "--a", "2,1", "--colouring", "mod:3", "--prefix", "2",
+     "--bbound", "4", "--xbound", "10"],
+    ["force", "--family", "schur", "--colours", "2", "--nmax", "8"],
+    # requests answered before any node is tried
+    ["separate", "--a", "1", "--b", "2", "--colouring", "mod:2", "--prefix", "3",
+     "--bound", "20"],
+    ["force", "--family", "schur", "--colours", "2", "--nmax", "0"],
+])
+def test_main_negative_budget_is_refused(capsys, argv):
+    code, out, err = _capture(capsys, argv + ["--budget", "-1"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_main_budget_exit(capsys):
     code, _, err = _capture(
         capsys,

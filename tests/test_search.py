@@ -537,6 +537,21 @@ def test_forcing_rejects_bad_matrices():
         forcing_bound(schur_matrix(), 2, 8, node_budget=5)
 
 
+@pytest.mark.parametrize("A, colours, n_max", [
+    (schur_matrix(), 2, 8),
+    (arithmetic_progression_matrix(3), 2, 12),
+])
+def test_forcing_at_every_budget(A, colours, n_max):
+    # below the unbudgeted node count the walk stops; from it on the answer is whole
+    full = forcing_bound(A, colours, n_max)
+    for budget in range(full.nodes + 2):
+        if budget < full.nodes:
+            with pytest.raises(BudgetExceeded):
+                forcing_bound(A, colours, n_max, budget)
+        else:
+            assert forcing_bound(A, colours, n_max, budget) == full
+
+
 def _realizable_images(A, n):
     """Brute-force oracle for _forcing_images: the distinct value sets of A at
     assignments whose image lies in [1, n], from a sweep of the whole column
