@@ -165,6 +165,14 @@ def digit_profile_colouring(p):
     return Colouring("digit-profile", fn, params={"p": p}, memoize=True)
 
 
+def _gap_free_range(p):
+    """(lo, hi) such that a nonzero v has fewer than nine base -p digits,
+    too few for a gap site (s >= 4 and t >= s + 4), exactly when
+    lo <= v <= hi.  The union of digits.negabase_range_check's ranges for
+    max support 0 to 7: -(p^9 - p) <= v * (p + 1) <= p^8 - 1."""
+    return -(p**9 - p) // (p + 1), (p**8 - 1) // (p + 1)
+
+
 def negabase_gap_colouring(p, coeffs):
     """The gap-statistics colouring driving the rapid-growth separation.
 
@@ -173,8 +181,11 @@ def negabase_gap_colouring(p, coeffs):
     gap counts of a*x for every coefficient a and every gap pattern (recorded
     sparsely: patterns with residue 0 are omitted).
 
-    One pass: each a*x is expanded once, and when 1 is a coefficient its
-    expansion of x also gives the top digits and the least significant digit.
+    One pass: x is expanded once, for its top digits, its least significant
+    digit and, when 1 is a coefficient, its gap counts.  Any other a*x is
+    expanded once, and only when it has the nine digits that a gap site
+    needs; a shorter one is recognised by its range (_gap_free_range) and
+    adds no gap count.
     """
     if not _is_prime(p):
         raise ValueError("base must be prime")
@@ -192,23 +203,21 @@ def negabase_gap_colouring(p, coeffs):
         if a not in seen:
             seen.append(a)
     cutoff = p**4
+    lo, hi = _gap_free_range(p)
 
     def fn(x):
         if x <= cutoff:
             return ("small",)
-        own = None
+        own = negabase_digits(x, p)
         finger = []
         for a in seen:
-            e = negabase_digits(a * x, p)
-            if a == 1:
-                own = e
-            if len(e.digits) >= 9:  # a gap site needs s >= 4 and t >= s + 4
-                for pat, count in gap_tally(e).items():
-                    r = count % p
-                    if r:
-                        finger.append(((a, pat), r))
-        if own is None:
-            own = negabase_digits(x, p)
+            ax = a * x
+            if lo <= ax <= hi:
+                continue
+            for pat, count in gap_tally(own if a == 1 else negabase_digits(ax, p)).items():
+                r = count % p
+                if r:
+                    finger.append(((a, pat), r))
         # x > p^4 puts the max support of x at 4 or above, so four top digits exist
         d = own.digits
         lead = (d[-1], d[-2], d[-3], d[-4])

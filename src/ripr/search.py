@@ -44,6 +44,12 @@ exactly those of the walk over the whole span.  Separation narrows the same
 way but counts only the members it tries.  Each children generator counts
 the candidates it tries itself; _Counter.skip, which charges skipped values
 in one step, is the only batched count.
+
+A node entered with its common colour known, without distinct_image, whose
+rows come down to one integral row, tests each candidate only for a positive
+value of that colour, outside the general loop that opens the colour,
+refuses a reserved one and files values by row; the node picks its loop once,
+on entry.
 """
 
 import math
@@ -123,7 +129,8 @@ class _Classes:
         """
         if counter is not None:
             return self._counted(c, counter)
-        self._reach(self.span.stop)
+        if self.reached < self.span.stop:
+            self._reach(self.span.stop)
         return self.index.get(c, ())
 
     def _counted(self, c, counter):
@@ -315,6 +322,8 @@ def _mono_walk(by_top, x, classes, counter, colour=None, distinct_entries=True,
     The walk's children fixes a node's rows once, counts each value it tries
     as one node and tests that value's rows inline; count_skips counts each
     span value skipped as one node too, in one _Counter.skip per run of them.
+    A node entered with the colour known, distinct_image off and one integral
+    row left tests only that row's value for a positive one of the colour.
     """
     span, colour_of, limit = classes.span, classes.colour_of, counter.limit
     rest = _unit_rows(by_top)
@@ -330,8 +339,24 @@ def _mono_walk(by_top, x, classes, counter, colour=None, distinct_entries=True,
         rows = _node_rows((narrowed if narrow else by_top)[d], x)
         values = classes.members(common, skips) if narrow else span
         prior = x[:d] if distinct_entries else ()
+        if common is not None and not distinct_image and len(rows) == 1 and rows[0][2] == 1:
+            # the colour is known, no value is filed and one integral row is
+            # left: a candidate only needs a positive value of that colour
+            ((base, top, _, _),) = rows
+            for v in values:
+                # counter.n, not a local: _Counter.skip advances it inside members
+                counter.n += 1
+                if counter.n > limit:
+                    raise _BudgetHit
+                if v in prior:
+                    continue
+                val = base + top * v
+                if val < 1 or colour_of(val) != common:
+                    continue
+                x[d] = v
+                yield state
+            return
         for v in values:
-            # counter.n, not a local: _Counter.skip advances it inside members
             counter.n += 1
             if counter.n > limit:
                 raise _BudgetHit

@@ -5,6 +5,7 @@ import pytest
 
 from ripr.colourings import (
     Colouring,
+    _gap_free_range,
     digit_profile_colouring,
     mod_colouring,
     negabase_gap_colouring,
@@ -162,7 +163,10 @@ def _gap_colour_by_composition(p, coeffs, x):
     return ("big", top_digits(x, p), least_significant_digit(x, p), tuple(sorted(finger)))
 
 
-@pytest.mark.parametrize("p,coeffs", [(7, (1, 2)), (11, (1, -2, 3)), (13, (2, 3)), (7, (-1, 2))])
+_GAP_CASES = [(7, (1, 2)), (11, (1, -2, 3)), (13, (2, 3)), (7, (-1, 2))]
+
+
+@pytest.mark.parametrize("p,coeffs", _GAP_CASES)
 def test_negabase_gap_one_pass_matches_composition(p, coeffs):
     # the one-pass colour must equal the composition byte for byte; _fn skips the memo
     fn = negabase_gap_colouring(p, coeffs)._fn
@@ -171,6 +175,33 @@ def test_negabase_gap_one_pass_matches_composition(p, coeffs):
     rng = random.Random(p * 100 + len(coeffs))
     xs = [rng.randrange(1, 10**30) for _ in range(2 * 10**4)]
     bad = [x for x in xs if repr(fn(x)) != repr(_gap_colour_by_composition(p, coeffs, x))]
+    assert not bad, bad[:5]
+
+
+def test_gap_free_range_counts_digits():
+    # fewer than nine digits exactly when -(p^9 - p) <= v * (p + 1) <= p^8 + p - 1,
+    # checked at every v within 300 of both ends of the range
+    for p in (3, 5, 7, 11, 13):
+        lo, hi = _gap_free_range(p)
+        for v in [v for edge in (lo, hi) for v in range(edge - 300, edge + 301)]:
+            short = len(negabase_digits(v, p).digits) < 9
+            assert (lo <= v <= hi) == short, (p, v)
+            assert (-(p**9 - p) <= v * (p + 1) <= p**8 + p - 1) == short, (p, v)
+
+
+@pytest.mark.parametrize("p,coeffs", _GAP_CASES + [(3, (1,))])
+def test_negabase_gap_matches_composition_where_gap_sites_begin(p, coeffs):
+    # a*x gains its ninth digit past hi (a > 0) or below lo (a < 0): every x
+    # within 300 of that edge, for every coefficient a, on both sides of it
+    fn = negabase_gap_colouring(p, coeffs)._fn
+    lo, hi = _gap_free_range(p)
+    xs = set()
+    for a in coeffs:
+        edge = hi // a if a > 0 else lo // a  # the last x with a*x inside [lo, hi]
+        assert len(negabase_digits(a * edge, p).digits) < 9
+        assert len(negabase_digits(a * (edge + 1), p).digits) >= 9
+        xs.update(range(max(1, edge - 300), edge + 301))
+    bad = [x for x in sorted(xs) if repr(fn(x)) != repr(_gap_colour_by_composition(p, coeffs, x))]
     assert not bad, bad[:5]
 
 

@@ -3,7 +3,8 @@
 Each case is an argv whose report, `nodes` included, lives in
 tests/golden/<name>.json.  The corpus is the criterion-12 search corpus plus
 separate, dominate, translate-search and force requests that find a witness
-(or a bound), find none, or stop on their node budget.  force cannot report
+(or a bound), find none, or stop on their node budget, and searches on a
+matrix file under tests/matrices.  force cannot report
 a budget stop in its body: it exits 3, and its golden records the exit code
 and the stderr line instead of a report.  After a deliberate change to a report,
 regenerate the files with
@@ -16,6 +17,7 @@ and say in the change log which reports moved and why.
 import contextlib
 import io
 import json
+import os
 import pathlib
 import sys
 
@@ -25,6 +27,7 @@ from ripr.cli import canonical, main
 from test_acceptance import _CORPUS
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
+ROOT = GOLDEN.parent.parent  # matrix files are named from the root of the checkout
 
 
 def _search_argv(fam, colslug, bound, strict):
@@ -43,6 +46,14 @@ CASES.update({
     "separate-budget": ["separate", "--a", "1", "--b", "2,1", "--colouring",
                         "notrapid:7:1,2", "--prefix", "2", "--bound", "3000",
                         "--budget", "2000"],
+    # separate-none's walk, which ends at 3,767 nodes, so this budget is never reached
+    "separate-budget-unreached": ["separate", "--a", "1", "--b", "2,1", "--colouring",
+                                  "notrapid:7:1,2", "--prefix", "2", "--bound", "3000",
+                                  "--budget", "5000"],
+    # stops past the 2,401 reserved values at depth 0, inside nodes whose colour is known
+    "separate-budget-deep": ["separate", "--a", "1", "--b", "2,1", "--colouring",
+                             "notrapid:7:1,2", "--prefix", "2", "--bound", "3000",
+                             "--budget", "3500"],
     "dominate-witness": ["dominate", "--a-family", "f:4", "--b-family", "fprime:3",
                          "--x", "1,4,16,64", "--ybound", "85"],
     "dominate-none": ["dominate", "--a-family", "f:4", "--b-family", "ap:3",
@@ -61,6 +72,12 @@ CASES.update({
     "force-budget": ["force", "--family", "schur", "--colours", "2", "--nmax", "8",
                      "--budget", "5"],
 })
+# x0, x1, (x0 + x1)/2 and x0 + x1: the last two differ by one in their 2-adic
+# valuation, so alpha:2 colours them apart, and every depth-1 node, whose colour
+# is known, tests a fractional row
+CASES.update({"search-half-sum" + name: ["search", "--matrix-file", "tests/matrices/half-sum.json",
+                                         "--colouring", "alpha:2", "--bound", "40"] + extra
+              for name, extra in (("", []), ("-budget", ["--budget", "300"]))})
 # gen in flag form for every family, optional trailing fields included, and in
 # slug form; colour --kind for every colouring; the other small commands
 CASES.update({"gen-" + name: ["gen"] + argv.split() for name, argv in {
@@ -110,8 +127,13 @@ CASES.update({
 
 def _report(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
     if code == 3:
         return canonical({"exitCode": code, "stderr": err.getvalue()})
     assert code == 0, argv
