@@ -92,8 +92,7 @@ def negabase_range_check(x, p, s):
     odd s admits x in [(-p^(s+2) + p)/(p + 1), (-p^s - 1)/(p + 1)].
     Comparisons are exact (cross-multiplied), no division.
     """
-    if not isinstance(p, int) or p < 2:  # _check_base inlined, as in negabase_digits
-        raise ValueError(_BASE_ERROR)
+    _check_base(p)
     if s < 0:
         raise ValueError("support position must be >= 0")
     lhs = x * (p + 1)

@@ -3,14 +3,17 @@ separation sweeps, image domination, certificates.
 
 All searches are deterministic: a fixed request gives the same answer and
 the same node count.  The monochromatic, forcing, domination, separation and
-translation searches share one depth-first engine, _backtrack, and hand it
-one callback, children(d, state): a generator that tries the candidates for
-entry d in increasing order, counts one node per candidate tried and yields
-the child state of each survivor.  The first complete assignment is
-therefore the lexicographically least.  The engine keeps only a stack of
-child generators, so a walk may be as deep as its input asks.  A budget hit
-is reported via exhausted=False (forcing_bound raises BudgetExceeded) and
-withdraws the leastness guarantee on any witness found.
+translation searches share one depth-first engine, seqs._backtrack, with
+the two enumerations under them: forcing's image walk (_forcing_images) and
+the Milliken-Taylor row walk (seqs._mt_row_maps).  Each hands it one
+callback, children(d, state): a generator that tries the candidates for
+entry d in increasing order and yields the child state of each survivor; a
+search's generator also counts one node per candidate tried.  The first
+complete assignment is therefore the lexicographically least.  The engine
+keeps only a stack of child generators, so a walk may be as deep as its
+input asks.  A budget hit is reported via exhausted=False (forcing_bound
+raises BudgetExceeded) and withdraws the leastness guarantee on any witness
+found.
 
 Each search except forcing compiles its values once, before the walk, as
 exact coefficient rows (matrix rows or MT block tuples) bucketed by top
@@ -22,8 +25,8 @@ a row with a non-integral coefficient is scaled to integers and its value
 is kept only when the division by the scale is exact.  Forcing colours the
 values 1, 2, 3, ... themselves and files each image under its largest value
 instead; it finds the images on the same integer rows, walking the columns
-depth first with running partial sums that bound each entry from above (see
-_forcing_images).
+on _backtrack with running partial sums that bound each entry from above
+(see _forcing_images).
 
 The four image searches ask one question, whether the compiled rows can
 all take positive values in one colour class, and share one walk for it,
@@ -59,7 +62,7 @@ from fractions import Fraction
 
 from .matgen import _check_budget, _check_counted, is_first_entries
 from .ratcore import DimensionMismatch, ImageSet, SparseRow, apply, image
-from .seqs import _mt_row_counts, _mt_row_maps, coeff_seq, rationally_proportional
+from .seqs import _backtrack, _mt_row_counts, _mt_row_maps, coeff_seq, rationally_proportional
 
 DEFAULT_NODE_BUDGET = 10**7
 
@@ -266,36 +269,6 @@ def _mt_systems(systems, length):
             for a in systems]
 
 
-def _backtrack(depth, children, state):
-    """Depth-first walk over assignments of depth entries.
-
-    children(d, state) is a generator over the candidates for entry d: it
-    counts each candidate it tries as one node before testing it, raising
-    _BudgetHit once the counter runs out, and yields, in increasing order,
-    the child state of each one that survives.  Yields the state of every
-    complete assignment in lexicographic order.
-
-    The walk keeps its own stack of child generators, so its depth is not
-    limited by the interpreter's recursion limit.
-    """
-    last = depth - 1
-    d = 0
-    its = [children(0, state)]
-    while True:
-        for child in its[d]:
-            if d == last:
-                yield child
-            else:
-                d += 1
-                its.append(children(d, child))
-                break
-        else:
-            if d == 0:
-                return
-            its.pop()
-            d -= 1
-
-
 def _first_leaf(leaves):
     """(first leaf or None, whether the search finished within its budget)."""
     try:
@@ -479,7 +452,8 @@ def _forcing_images(plan, n):
     is at least 1, so x_j stops at the least (n * den - sum - rest) // coef
     over the rows reading column j, sum being the row's value so far.  A row
     ending at j keeps x_j only when its value divides exactly by den.  The
-    walk keeps its own stack, so its depth is not limited by recursion.
+    walk runs on _backtrack, its state the values of the rows that end
+    before the column being assigned.
     """
     col_max, reads, opens, closes, slots = plan
     tops = [n // m for m in col_max]
@@ -487,20 +461,11 @@ def _forcing_images(plan, n):
         return set()
     _check_budget(math.prod(tops), "forcing images up to n=%d" % n)
     limits = [[(prev, coef, n * den - rest) for prev, coef, rest, den in col] for col in reads]
-    last = len(col_max) - 1
     acc = [0] * slots
-    sets = [frozenset()] * (last + 1)  # sets[j]: the values of the rows ending before column j
-    its = [None] * (last + 1)  # its[j]: the values left for x_j
-    out = set()
 
-    def values(j):
+    def children(j, values):
         # every later entry of a row adds at least its coefficient
-        return iter(range(1, min((lim - acc[prev]) // coef for prev, coef, lim in limits[j]) + 1))
-
-    j = 0
-    its[0] = values(0)
-    while True:
-        for v in its[j]:
+        for v in range(1, min((lim - acc[prev]) // coef for prev, coef, lim in limits[j]) + 1):
             new = []
             for prev, coef, den in closes[j]:
                 val = acc[prev] + coef * v
@@ -510,20 +475,11 @@ def _forcing_images(plan, n):
                         break
                 new.append(val)
             else:
-                s = sets[j].union(new)
-                if j == last:
-                    out.add(s)
-                    continue
                 for prev, slot, coef in opens[j]:
                     acc[slot] = acc[prev] + coef * v
-                j += 1
-                sets[j] = s
-                its[j] = values(j)
-                break
-        else:
-            if j == 0:
-                return out
-            j -= 1
+                yield values.union(new)
+
+    return set(_backtrack(len(col_max), children, frozenset()))
 
 
 def forcing_bound(A, colours, n_max, node_budget=None):

@@ -4,6 +4,9 @@ A compressed sequence has no zero terms and no two equal adjacent terms.
 Given coefficients a = <a_0..a_k> and entries x_0..x_{n-1}, the system's
 values are sums a_0*s_0 + ... + a_k*s_k where s_i sums x over a block F_i
 and the blocks are nonempty index sets with max F_i < min F_{i+1}.
+
+The module also holds _backtrack, the depth-first engine that walks the
+system's rows here (_mt_row_maps) and every walk of the searches.
 """
 
 import math
@@ -65,6 +68,39 @@ def _check_entries(x):
     return x
 
 
+def _backtrack(depth, children, state):
+    """Depth-first walk over assignments of depth entries.
+
+    children(d, state) is a generator over the candidates for entry d: it
+    yields, in increasing order, the child state of each candidate that
+    survives.  Yields the state of every complete assignment in
+    lexicographic order.  Any exception raised in children ends the walk
+    and propagates to the caller.  The engine counts nothing itself: the
+    searches count their nodes, and stop on their budget, inside their own
+    children generators; the Milliken-Taylor row walk and forcing's image
+    walk count nothing.
+
+    The walk keeps its own stack of child generators, so its depth is not
+    limited by the interpreter's recursion limit.
+    """
+    last = depth - 1
+    d = 0
+    its = [children(0, state)]
+    while True:
+        for child in its[d]:
+            if d == last:
+                yield child
+            else:
+                d += 1
+                its.append(children(d, child))
+                break
+        else:
+            if d == 0:
+                return
+            its.pop()
+            d -= 1
+
+
 def block_tuples(n, k):
     """All (F_0..F_k) with nonempty F_i subseteq range(n), max F_i < min F_{i+1}.
 
@@ -87,27 +123,28 @@ def _mt_row_counts(k, n):
 
 def _mt_row_maps(a, n):
     """{entry: coefficient} of each a-system row over n entries, one per block
-    tuple, in ascending order of the rows' dense tuples: a depth-first walk
-    sets entry c, in ascending order, to 0, the last term a[i] placed or the
-    next one, wherever enough entries are left for the terms still to come."""
+    tuple, in ascending order of the rows' dense tuples: a depth-first walk on
+    _backtrack sets entry c, in ascending order, to 0, the last term a[i]
+    placed or the next one, wherever enough entries are left for the terms
+    still to come."""
     k = len(a)
+    if n < k:
+        return
     # steps[c][i + 1]: (value, index of the last term placed) for entry c after a[i]
     steps = [[sorted(s for s in [(0, i)] + [(a[j], j) for j in (i, i + 1) if 0 <= j < k]
                      if s[1] >= k - n + c) for i in range(-1, k)] for c in range(n)]
-    row, walk = {}, [iter(steps[0][0])] if n else []
-    while walk:
-        c = len(walk) - 1
-        row.pop(c, None)
-        step = next(walk[-1], None)
-        if step is None:
-            walk.pop()
-            continue
-        if step[0]:
-            row[c] = step[0]
-        if c + 1 < n:
-            walk.append(iter(steps[c + 1][step[1] + 1]))
-        else:
-            yield dict(row)
+    row = {}
+
+    def children(c, i):
+        for value, j in steps[c][i + 1]:
+            # re-insert entry c, so that the row's keys stay in ascending order
+            row.pop(c, None)
+            if value:
+                row[c] = value
+            yield j
+
+    for _ in _backtrack(n, children, -1):
+        yield dict(row)
 
 
 def _canon_order(tup):

@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 
 from ripr.seqs import (
     CompressedSeq,
+    _backtrack,
+    _mt_row_maps,
     block_tuples,
     compress,
     fs_image,
@@ -67,6 +69,61 @@ def test_block_tuple_counts():
         want = [t for t in product(subsets, repeat=k + 1)
                 if all(max(f) < min(g) for f, g in zip(t, t[1:]))]
         assert sorted(block_tuples(n, k)) == sorted(want), (n, k)
+
+
+_TABLE = [(1, 2), (0, 5, 7), (3,), (4, 6)]
+
+
+def _table_children(d, state):
+    for v in _TABLE[d]:
+        yield state + (v,)
+
+
+def test_backtrack_leaves_come_in_product_order():
+    assert list(_backtrack(len(_TABLE), _table_children, ())) == list(product(*_TABLE))
+
+
+def test_backtrack_empty_depth_prunes_only_its_own_subtree():
+    def children(d, state):
+        if state[:2] == (1, 5):  # entry 2 has no candidate under (1, 5)
+            return
+        yield from _table_children(d, state)
+
+    want = [t for t in product(*_TABLE) if t[:2] != (1, 5)]
+    assert list(_backtrack(len(_TABLE), children, ())) == want
+
+
+def test_backtrack_walks_deeper_than_the_recursion_limit():
+    def children(d, state):
+        yield state + 1
+
+    assert list(_backtrack(5000, children, 0)) == [5000]
+
+
+def test_backtrack_propagates_an_exception_from_children():
+    class Stop(Exception):
+        pass
+
+    def children(d, state):
+        if state == (2, 0):
+            raise Stop  # as a search's budget hit does
+        yield from _table_children(d, state)
+
+    leaves = _backtrack(len(_TABLE), children, ())
+    want = [t for t in product(*_TABLE) if t[0] == 1]
+    assert [next(leaves) for _ in want] == want
+    with pytest.raises(Stop):
+        next(leaves)
+
+
+@pytest.mark.parametrize("a", [(2, 1), (1,), (1, -1, 1), (-1, 2)])
+def test_mt_row_maps_ascend(a):
+    # rows in ascending order of their dense tuples, each with its entries in ascending order
+    for n in range(7):
+        rows = list(_mt_row_maps(a, n))
+        dense = [tuple(row.get(c, 0) for c in range(n)) for row in rows]
+        assert dense == sorted(dense), (a, n)
+        assert all(list(row) == sorted(row) for row in rows), (a, n)
 
 
 def test_fs_anchors():
