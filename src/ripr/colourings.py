@@ -47,17 +47,18 @@ def mod_colouring(m):
     return Colouring("mod", lambda x: x % m, params={"m": m})
 
 
+class _Table(dict):
+    """A colour table whose lookups outside it raise ValueError."""
+
+    __slots__ = ()
+
+    def __missing__(self, x):
+        raise ValueError("value %d not covered by the table" % x)
+
+
 def table_colouring(table):
     """Explicit finite table; values outside it raise ValueError."""
-    table = dict(table)
-
-    def fn(x):
-        try:
-            return table[x]
-        except KeyError:
-            raise ValueError("value %d not covered by the table" % x) from None
-
-    return Colouring("table", fn)
+    return Colouring("table", _Table(table).__getitem__)
 
 
 def _is_prime(n):

@@ -7,10 +7,10 @@ in that expansion; they are the raw material for the separating colourings.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class DigitExpansion:
+class DigitExpansion(NamedTuple):
     """Finite digit string, least significant first; base is p or -p."""
 
     base: int

@@ -43,10 +43,13 @@ only the values of the common colour's class once that colour is known; see
 _Classes.  Such a value is not coloured again: the node leaves x_d's own row
 unchecked, unless distinct_image needs its value.  The span values skipped
 still count one node each, so witnesses, node counts and budget stops are
-exactly those of the walk over the whole span.  Separation narrows the same
-way but counts only the members it tries.  Each children generator counts
-the candidates it tries itself; _Counter.skip, which charges skipped values
-in one step, is the only batched count.
+exactly those of the walk over the whole span: the node charges each member
+together with the span values skipped before it, in one step, and charges
+the values after its last member through _Counter.skip.  It reads the class
+as the filed sequence itself, followed, while the span is not yet all
+coloured, by a tail that colours only up to the next member.  Separation
+narrows the same way but counts only the members it tries.  Each children
+generator counts the candidates it tries itself.
 
 A node entered with its common colour known, without distinct_image, whose
 rows come down to one integral row, tests each candidate only for a positive
@@ -59,6 +62,8 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from typing import NamedTuple
 
 from .matgen import _check_budget, _check_counted, is_first_entries
 from .ratcore import DimensionMismatch, ImageSet, SparseRow, apply, image
@@ -125,39 +130,36 @@ class _Classes:
     def members(self, c, counter=None):
         """The values of colour c, in increasing order.
 
-        Given a counter, each span value before, between and after them
-        counts as one node tried and pruned, and _BudgetHit is raised exactly
-        where stepping through them one at a time would raise it; the walk
-        that tries the members counts them itself, one node each.
+        Without a counter the whole span is coloured first.  With one, the
+        members filed so far come as the filed sequence itself, and once it
+        runs out a tail colours on only up to the next member.  The caller
+        must charge each member to the counter, with the span values skipped
+        before it, before it asks for the next: the tail colours no value
+        past the one at which that charge would exceed the budget.
         """
-        if counter is not None:
-            return self._counted(c, counter)
-        if self.reached < self.span.stop:
+        if counter is None and self.reached < self.span.stop:
             self._reach(self.span.stop)
-        return self.index.get(c, ())
-
-    def _counted(self, c, counter):
-        span = self.span
         found = self.index.get(c, ())
-        k = 0  # the position in found of the next member
-        nxt = span.start  # the next value to try
+        if self.reached >= self.span.stop:
+            return found
+        return chain(found, self._tail(c, found, counter))
+
+    def _tail(self, c, head, counter):
+        # Runs once the caller has walked head; an array head has grown by
+        # what deeper walks filed meanwhile, and a 1-tuple head is replaced
+        # in index once its class gets a second member.
+        span, index = self.span, self.index
+        k = len(head)  # the position in index[c] of the next member
         while True:
-            if k >= len(found):
-                # filing a second member replaces a 1-tuple, maybe in another walk
-                found = self.index.get(c, ())
+            found = index.get(c, ())
             if k < len(found):
                 v = found[k]
             else:
-                # colour no value past the one at which the budget runs out
-                stop = min(span.stop, nxt + counter.limit - counter.n + 1)
-                v = self._reach(stop, c)
+                nxt = found[k - 1] + 1 if k else span.start  # the caller charged every value below
+                v = self._reach(min(span.stop, nxt + counter.limit - counter.n + 1), c)
                 if v is None:
-                    counter.skip(stop - nxt)  # raises unless the span ran out
                     return
-            if v > nxt:
-                counter.skip(v - nxt)
             yield v
-            nxt = v + 1
             k += 1
 
     def _reach(self, stop, c=_NO_COLOUR):
@@ -207,15 +209,13 @@ class SearchConfig:
             raise ValueError("variable bound below the minimum entry")
 
 
-@dataclass(frozen=True)
-class SearchWitness:
+class SearchWitness(NamedTuple):
     assignment: tuple
     image: ImageSet
     colour: object
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     witness: object
     nodes: int
     exhausted: bool
@@ -293,8 +293,10 @@ def _mono_walk(by_top, x, classes, counter, colour=None, distinct_entries=True,
     and x_d's row goes unchecked there, since each member already has the
     common colour, except under distinct_image, which files its value.
     The walk's children fixes a node's rows once, counts each value it tries
-    as one node and tests that value's rows inline; count_skips counts each
-    span value skipped as one node too, in one _Counter.skip per run of them.
+    as one node and tests that value's rows inline.  count_skips counts each
+    span value skipped as one node too: a narrowed node charges each member
+    together with the values skipped before it, and the values after its last
+    member when its class runs out.
     A node entered with the colour known, distinct_image off and one integral
     row left tests only that row's value for a positive one of the colour.
     """
@@ -311,13 +313,32 @@ def _mono_walk(by_top, x, classes, counter, colour=None, distinct_entries=True,
         narrow = rest[d] is not None and common is not None
         rows = _node_rows((narrowed if narrow else by_top)[d], x)
         values = classes.members(common, skips) if narrow else span
+        # a skipping node charges each member v as the span values nxt..v, in one step
+        skipping = narrow and count_skips
+        nxt = span.start
         prior = x[:d] if distinct_entries else ()
+        # counter.n, not a local: the nodes below each yield advance it
         if common is not None and not distinct_image and len(rows) == 1 and rows[0][2] == 1:
             # the colour is known, no value is filed and one integral row is
             # left: a candidate only needs a positive value of that colour
             ((base, top, _, _),) = rows
+            if skipping:
+                for v in values:
+                    counter.n += v - nxt + 1
+                    nxt = v + 1
+                    if counter.n > limit:
+                        counter.n = limit + 1
+                        raise _BudgetHit
+                    if v in prior:
+                        continue
+                    val = base + top * v
+                    if val < 1 or colour_of(val) != common:
+                        continue
+                    x[d] = v
+                    yield state
+                counter.skip(span.stop - nxt)
+                return
             for v in values:
-                # counter.n, not a local: _Counter.skip advances it inside members
                 counter.n += 1
                 if counter.n > limit:
                     raise _BudgetHit
@@ -330,8 +351,10 @@ def _mono_walk(by_top, x, classes, counter, colour=None, distinct_entries=True,
                 yield state
             return
         for v in values:
-            counter.n += 1
+            counter.n += v - nxt + 1 if skipping else 1
+            nxt = v + 1
             if counter.n > limit:
+                counter.n = limit + 1
                 raise _BudgetHit
             if v in prior:
                 continue
@@ -360,6 +383,8 @@ def _mono_walk(by_top, x, classes, counter, colour=None, distinct_entries=True,
             else:
                 x[d] = v
                 yield got, seen_by
+        if skipping:
+            counter.skip(span.stop - nxt)
 
     for common, _ in _backtrack(len(by_top), children, (colour, {})):
         yield common
@@ -390,8 +415,7 @@ def find_monochromatic(A, col, cfg, workers=1):
     return SearchResult(SearchWitness(tuple(x), image(A, x), colour), counter.n, True)
 
 
-@dataclass(frozen=True)
-class ForcingResult:
+class ForcingResult(NamedTuple):
     bound: object
     certificate: tuple
     nodes: int
@@ -590,8 +614,7 @@ def find_dominated_assignment(A, B, x, y_bound, node_budget=None):
     return SearchResult(SearchWitness(tuple(y), image(B, y), None), counter.n, True)
 
 
-@dataclass(frozen=True)
-class CertifyReport:
+class CertifyReport(NamedTuple):
     certified: bool
     reason: object
 
@@ -678,8 +701,7 @@ def refute_nonconstant(c, x):
     return SparseRow({m: c + r, n: -r})
 
 
-@dataclass(frozen=True)
-class SeparationReport:
+class SeparationReport(NamedTuple):
     outcome: str
     ratio: object
     witness: object

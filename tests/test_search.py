@@ -26,6 +26,8 @@ from ripr.matgen import (
 )
 from ripr.ratcore import DimensionMismatch, FiniteMatrix, SparseRow, apply, image
 from ripr.search import (
+    _Classes,
+    _Counter,
     _compile_rows,
     _mt_systems,
     _as_int_value,
@@ -426,6 +428,46 @@ def test_sparse_class_walk_colours_about_its_budget(monkeypatch):
     assert got[0].nodes == got[2].nodes == budget + 1 and not got[0].exhausted
     # each node colours its row values; the walk ahead adds about one value per node
     assert got[1] <= want[1] + budget + 2 and got[3] <= want[3] + budget + 2
+
+
+def test_class_walk_colours_only_up_to_its_first_member():
+    # Every value has one colour, so the witness takes the first members; a walk
+    # that coloured its span, or its budget of it, ahead would colour 10^7 values.
+    coloured = []
+    one = Colouring("one", lambda x: coloured.append(x) or 0)
+    res = find_monochromatic(schur_matrix(), one, SearchConfig(10**9))
+    assert (res.witness.assignment, res.nodes) == ((1, 1), 2)
+    assert len(coloured) <= 4
+    coloured.clear()
+    res = translate_witness(one, (2, 1), 2, 1, x_bound=10**9)
+    assert res.witness == (1, (1, 2), 0)
+    assert len(coloured) <= 8
+
+
+@pytest.mark.parametrize("reached", [1, 4, 7, 20, 60])
+def test_class_members_see_what_another_walk_files(reached):
+    # Two walks over one class, interleaved: the inner one files members while
+    # the outer one is suspended, in its filed head (empty, a 1-tuple that an
+    # array replaces, or an array that grows) or in its lazy tail.
+    span = range(1, 60)
+    want = [v for v in span if v % 3 == 0]
+    counter = _Counter(None)  # a budget far past the span: no tail stops early
+    for taken in range(4):
+        classes = _Classes(lambda v: v % 3, span)
+        classes._reach(reached)
+        outer = iter(classes.members(0, counter))
+        got_outer = [next(outer) for _ in range(taken)]
+        inner = iter(classes.members(0, counter))
+        got_inner = []
+        for _ in want:
+            # the inner walk takes two members for every one the outer takes
+            got_inner += [v for v in (next(inner, None), next(inner, None)) if v is not None]
+            got_outer += [v for v in (next(outer, None),) if v is not None]
+        assert got_inner == got_outer == want, (reached, taken)
+        # once the span is reached, a walk reads the filed class itself
+        assert classes.reached == span.stop
+        assert list(classes.members(0, counter)) == want
+        assert list(classes.members(0)) == want
 
 
 def _compiled_values(by_top, x):
