@@ -322,25 +322,11 @@ def _mono_walk(by_top, x, classes, counter, colour=None, distinct_entries=True,
             # the colour is known, no value is filed and one integral row is
             # left: a candidate only needs a positive value of that colour
             ((base, top, _, _),) = rows
-            if skipping:
-                for v in values:
-                    counter.n += v - nxt + 1
-                    nxt = v + 1
-                    if counter.n > limit:
-                        counter.n = limit + 1
-                        raise _BudgetHit
-                    if v in prior:
-                        continue
-                    val = base + top * v
-                    if val < 1 or colour_of(val) != common:
-                        continue
-                    x[d] = v
-                    yield state
-                counter.skip(span.stop - nxt)
-                return
             for v in values:
-                counter.n += 1
+                counter.n += v - nxt + 1 if skipping else 1
+                nxt = v + 1
                 if counter.n > limit:
+                    counter.n = limit + 1
                     raise _BudgetHit
                 if v in prior:
                     continue
@@ -349,6 +335,8 @@ def _mono_walk(by_top, x, classes, counter, colour=None, distinct_entries=True,
                     continue
                 x[d] = v
                 yield state
+            if skipping:
+                counter.skip(span.stop - nxt)
             return
         for v in values:
             counter.n += v - nxt + 1 if skipping else 1
