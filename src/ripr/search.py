@@ -4,16 +4,15 @@ separation sweeps, image domination, certificates.
 All searches are deterministic: a fixed request gives the same answer and
 the same node count.  The monochromatic, forcing, domination, separation and
 translation searches share one depth-first engine, seqs._backtrack, with
-the two enumerations under them: forcing's image walk (_forcing_images) and
-the Milliken-Taylor row walk (seqs._mt_row_maps).  Each hands it one
-callback, children(d, state): a generator that tries the candidates for
-entry d in increasing order and yields the child state of each survivor; a
-search's generator also counts one node per candidate tried.  The first
-complete assignment is therefore the lexicographically least.  The engine
-keeps only a stack of child generators, so a walk may be as deep as its
-input asks.  A budget hit is reported via exhausted=False (forcing_bound
-raises BudgetExceeded) and withdraws the leastness guarantee on any witness
-found.
+the Milliken-Taylor row walk under them (seqs._mt_row_maps).  Each hands
+it one callback, children(d, state): a generator that tries the candidates
+for entry d in increasing order and yields the child state of each
+survivor; a search's generator also counts one node per candidate tried.
+The first complete assignment is therefore the lexicographically least.
+The engine keeps only a stack of child generators, so a walk may be as deep
+as its input asks.  A budget hit is reported via exhausted=False
+(forcing_bound raises BudgetExceeded) and withdraws the leastness guarantee
+on any witness found.
 
 Each search except forcing compiles its values once, before the walk, as
 exact coefficient rows (matrix rows or MT block tuples) bucketed by top
@@ -23,10 +22,9 @@ partial sum of every row whose top column is d, so each candidate v then
 costs one multiply-add per row.  Rows stay on plain ints:
 a row with a non-integral coefficient is scaled to integers and its value
 is kept only when the division by the scale is exact.  Forcing colours the
-values 1, 2, 3, ... themselves and files each image under its largest value
-instead; it finds the images on the same integer rows, walking the columns
-on _backtrack with running partial sums that bound each entry from above
-(see _forcing_images).
+values 1, 2, 3, ... themselves instead and files each image under its
+largest value, read from one stream of assignments ordered by that value
+(see _images).
 
 The four image searches ask one question, whether the compiled rows can
 all take positive values in one colour class, and share one walk for it,
@@ -60,9 +58,11 @@ on entry.
 
 import math
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from heapq import heappop, heappush
+from itertools import chain, count
 from typing import NamedTuple
 
 from .matgen import _check_budget, _check_counted, is_first_entries
@@ -410,19 +410,14 @@ class ForcingResult(NamedTuple):
 
 
 def _image_plan(A):
-    """Compile A for _forcing_images, once per forcing search.
+    """Check A for forcing and scale it to integers, once per forcing search.
 
     Forcing needs non-negative entries with every column positively used, so
     that finitely many assignments have their image in [1, n]; other
-    matrices raise ValueError.  Rows are scaled to integers by _compile_rows.
-    A row's running sum up to column j sits in one slot of a flat list; slot
-    0 holds 0, the sum before a row's first column.  Returns (col_max, reads,
-    opens, closes, slots), where col_max[j] is the largest entry of column j
-    and, for the rows reading column j: reads[j] holds (prev, coef, rest, den)
-    for each, prev being the slot of its sum before j, coef its scaled entry
-    at j and rest the sum of its scaled entries after j; opens[j] holds
-    (prev, slot, coef) for those that read a later column, and closes[j]
-    (prev, coef, den) for those that end at j.
+    matrices raise ValueError.  Returns (col_max, cols, rows, scale):
+    col_max counts the columns by their largest entry, cols[j] lists (row,
+    scale * entry) for the rows reading column j, rows is the row count and
+    scale the least common denominator of the entries.
     """
     col_max = {}
     for r in A.rows:
@@ -435,63 +430,56 @@ def _image_plan(A):
     for c in range(A.width):
         if c not in col_max:
             raise ValueError("column %d carries no positive entry" % c)
-    reads = [[] for _ in range(A.width)]
-    opens = [[] for _ in range(A.width)]
-    closes = [[] for _ in range(A.width)]
-    slots = 1
-    for d, rows in enumerate(_compile_rows(((r, None) for r in A.rows), A.width)):
-        for lower, top, den, _ in rows:
-            rest = top + sum(c for _, c in lower)
-            prev = 0
-            for j, coef in lower:
-                rest -= coef
-                reads[j].append((prev, coef, rest, den))
-                opens[j].append((prev, slots, coef))
-                prev = slots
-                slots += 1
-            reads[d].append((prev, top, 0, den))
-            closes[d].append((prev, top, den))
-    return [col_max[c] for c in range(A.width)], reads, opens, closes, slots
+    scale = math.lcm(*(v.denominator for r in A.rows for v in r.values()
+                       if isinstance(v, Fraction)))
+    cols = [[] for _ in range(A.width)]
+    for i, r in enumerate(A.rows):
+        for c, v in r.items():
+            cols[c].append((i, int(v * scale)))
+    return Counter(col_max.values()), cols, len(A.rows), scale
 
 
-def _forcing_images(plan, n):
-    """The distinct images, as frozensets, of the planned matrix at the
-    assignments whose image lies in [1, n].
+def _images(plan):
+    """Yield (scale * largest row value, image or None) for every assignment
+    x >= 1 of the planned matrix, in non-decreasing order of that value.
 
-    The whole column box, x_j <= n // col_max[j], must pass matgen's
-    enumeration guard (ValueError otherwise), but the walk visits only the
-    assignments that can still fit.  Entries are non-negative and every x_j
-    is at least 1, so x_j stops at the least (n * den - sum - rest) // coef
-    over the rows reading column j, sum being the row's value so far.  A row
-    ending at j keeps x_j only when its value divides exactly by den.  The
-    walk runs on _backtrack, its state the values of the rows that end
-    before the column being assigned.
+    Entries are non-negative, so raising an entry never lowers a row value:
+    a heap ordered by the largest value pops the assignments in order.  Each
+    is pushed once: the heap starts at (1, ..., 1), and an assignment whose
+    parent last raised x_j raises only x_k with k >= j.  A heap entry keeps
+    its parent's scaled row values and builds its own when popped.  The
+    image, a frozenset, is None when a row value is not an integer or the
+    image came before.  The heap never empties.
     """
-    col_max, reads, opens, closes, slots = plan
-    tops = [n // m for m in col_max]
-    if min(tops) < 1:
-        return set()
-    _check_budget(math.prod(tops), "forcing images up to n=%d" % n)
-    limits = [[(prev, coef, n * den - rest) for prev, coef, rest, den in col] for col in reads]
-    acc = [0] * slots
-
-    def children(j, values):
-        # every later entry of a row adds at least its coefficient
-        for v in range(1, min((lim - acc[prev]) // coef for prev, coef, lim in limits[j]) + 1):
-            new = []
-            for prev, coef, den in closes[j]:
-                val = acc[prev] + coef * v
-                if den != 1:
-                    val, rem = divmod(val, den)
-                    if rem:
-                        break
-                new.append(val)
+    _, cols, rows, scale = plan
+    base = [0] * rows  # the values at x = (0, 1, ..., 1), so the first pop raises x_0 to 1
+    for col in cols[1:]:
+        for i, e in col:
+            base[i] += e
+    heap = [(0, 0, base, 0)]
+    tick = count(1)  # breaks ties on the key, so that no two value lists are compared
+    seen = set()
+    while True:
+        _, _, vals, j = heappop(heap)
+        vals = vals[:]
+        for i, e in cols[j]:
+            vals[i] += e
+        top = max(vals)
+        if scale == 1:
+            image = frozenset(vals)
+        elif all(v % scale == 0 for v in vals):
+            image = frozenset(v // scale for v in vals)
+        else:
+            image = None
+        if image is not None:
+            if image in seen:
+                image = None
             else:
-                for prev, slot, coef in opens[j]:
-                    acc[slot] = acc[prev] + coef * v
-                yield values.union(new)
-
-    return set(_backtrack(len(col_max), children, frozenset()))
+                seen.add(image)
+        yield top, image
+        for k in range(j, len(cols)):
+            key = max([vals[i] + e for i, e in cols[k]])
+            heappush(heap, (key if key > top else top, next(tick), vals, k))
 
 
 def forcing_bound(A, colours, n_max, node_budget=None):
@@ -501,17 +489,15 @@ def forcing_bound(A, colours, n_max, node_budget=None):
     One depth-first walk on _backtrack colours 1, 2, 3, ... in turn: entry d
     is the colour of d + 1, and colour c is pruned there when some image
     whose largest value is d + 1 has every other value coloured c.  The
-    images are enumerated as the walk deepens, each time it first passes the
-    values enumerated so far (up to twice its depth, at most n_max), and
-    filed under their largest value.  Each enumeration walks the columns of
-    integer rows compiled once (_image_plan) and visits only the assignments
-    whose partial sums still fit (_forcing_images); the 10^7 enumeration
-    guard still bounds the whole column box.  Colours open in first-use
-    order (entry d tries 0 up to one past the largest colour used before
-    it), which loses nothing because renaming colours preserves avoidance.
-    Avoidance is closed under prefixes, so if the deepest depth reached is
-    L < n_max the bound is L + 1; a walk that colours all of [1, n_max] gives
-    bound None.
+    first time the walk reaches depth d it reads the images with largest
+    value d + 1 from _images, which yields them in order of that value, and
+    files them under d; before that, the 10^7 enumeration guard must pass
+    the column box up to d + 1, each x_j at most d + 1 over the largest
+    entry of column j.  Colours open in first-use order (entry d tries 0 up
+    to one past the largest colour used before it), which loses nothing
+    because renaming colours preserves avoidance.  Avoidance is closed under
+    prefixes, so if the deepest depth reached is L < n_max the bound is
+    L + 1; a walk that colours all of [1, n_max] gives bound None.
 
     certificate[i] is the colour of i + 1.  It is the first colouring of
     [1, L] the walk reaches: the lexicographically least avoiding colouring,
@@ -529,23 +515,27 @@ def forcing_bound(A, colours, n_max, node_budget=None):
     if n_max < 1:
         return ForcingResult(None, (), 0)
     plan = _image_plan(A)
-    by_top = {}  # d -> per image with largest value d + 1, the indices of its other values
-    reach = 0  # by_top holds every image inside [1, reach]
+    col_max, _, _, scale = plan
+    stream = _images(plan)
+    head = next(stream)  # the first pair not yet filed
+    by_top = []  # by_top[d]: per image with largest value d + 1, the indices of its other values
     colour = []  # colour[i]: the colour of i + 1 on the current path
     cert = []  # the first colouring reached at the deepest depth so far
     synced = 0  # colour[:synced] == cert[:synced]
 
-
     def children(d, opened):
-        nonlocal reach, synced
-        if d >= reach:
-            old, reach = reach, min(n_max, 2 * (d + 1))
-            for s in _forcing_images(plan, reach):
-                m = max(s)
-                if m > old:
-                    by_top.setdefault(m - 1, []).append(
-                        tuple(v - 1 for v in sorted(s) if v != m))
-        images = by_top.get(d, ())
+        nonlocal head, synced
+        if d == len(by_top):
+            n = d + 1
+            box = math.prod((n // m) ** k for m, k in col_max.items())
+            _check_budget(box, "forcing images up to n=%d" % n)
+            filed = []
+            while head[0] <= n * scale:
+                if head[1] is not None:
+                    filed.append(tuple(v - 1 for v in sorted(head[1]) if v != n))
+                head = next(stream)
+            by_top.append(filed)
+        images = by_top[d]
         for c in range(min(opened + 1, colours)):
             counter.n += 1
             if counter.n > limit:
@@ -668,25 +658,6 @@ def make_rapid(p, seeds):
             s += 1
         out.append(math.lcm(seed, p ** (s + 8)))
     return tuple(out)
-
-
-def refute_nonconstant(c, x):
-    """A single row with non-negative row sum c that takes a negative value
-    at the given non-constant x: entry c + r at a minimal position, -r at a
-    strictly larger position, r the least integer above c * x_min."""
-    c = Fraction(c)
-    if c < 0:
-        raise ValueError("row sum must be non-negative")
-    x = tuple(x)
-    if any(not isinstance(v, int) or v < 1 for v in x):
-        raise ValueError("need positive integer entries")
-    lo = min(x)
-    if max(x) == lo:
-        raise ValueError("constant assignments cannot be refuted")
-    m = x.index(lo)
-    n = next(i for i, v in enumerate(x) if v > lo)
-    r = math.floor(c * lo) + 1
-    return SparseRow({m: c + r, n: -r})
 
 
 class SeparationReport(NamedTuple):

@@ -77,8 +77,7 @@ def _backtrack(depth, children, state):
     lexicographic order.  Any exception raised in children ends the walk
     and propagates to the caller.  The engine counts nothing itself: the
     searches count their nodes, and stop on their budget, inside their own
-    children generators; the Milliken-Taylor row walk and forcing's image
-    walk count nothing.
+    children generators; the Milliken-Taylor row walk counts nothing.
 
     The walk keeps its own stack of child generators, so its depth is not
     limited by the interpreter's recursion limit.

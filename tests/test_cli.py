@@ -457,8 +457,8 @@ def test_main_force_enumerates_images_only_as_deep_as_the_walk(tmp_path, capsys)
     rep = json.loads(out)
     assert code == 0 and rep["bound"] == 5 and rep["certificate"] == [0, 1, 1, 0]
     # The only image of 2000*(x1 + ... + x12) is one value of at least 24000,
-    # so the walk colours 1, 2, 3, ... with 0 and goes deep; the images below
-    # 8190 are 4**12 assignments, past the enumeration guard.
+    # so the walk colours 1, 2, 3, ... with 0 and goes deep; the column box up
+    # to 8000 holds 4**12 assignments, past the enumeration guard.
     sparse = tmp_path / "sparse.json"
     sparse.write_text(json.dumps({"width": 12, "rows": [[[c, 2000, 1] for c in range(12)]]}))
     start = time.monotonic()
@@ -467,7 +467,7 @@ def test_main_force_enumerates_images_only_as_deep_as_the_walk(tmp_path, capsys)
     )
     assert time.monotonic() - start < 1
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and "n=8190" in err and err.count("\n") == 1, err
+    assert err.startswith("error: ") and "n=8000" in err and err.count("\n") == 1, err
 
 
 def test_main_search_budget_zero_means_zero(capsys):

@@ -236,8 +236,11 @@ def test_cli_contract_examples(files):
         (["separate", "--a", "1", "--b", "2,1", "--colouring", "mod:2", "--prefix", "0",
           "--bound", "-1"], 0),
         # the size guards: force image enumeration, matrix generation, compiled rows
-        (["force", "--family", "identity:3000", "--colours", "2", "--nmax", "5"], 2),
+        (["force", "--family", "band:1,1:3000", "--colours", "2", "--nmax", "5"], 2),
+        # identity:w answers bound 1 from the image {1}, inside or past the force guard
+        (["force", "--family", "identity:3000", "--colours", "2", "--nmax", "5"], 0),
         (["force", "--family", "identity:18", "--colours", "2", "--nmax", "3"], 0),
+        (["force", "--family", "identity:23", "--colours", "2", "--nmax", "3"], 0),
         (["gen", "f:20"], 2),
         (["gen", "fprime:3000"], 2),
         (["gen", "doublingsys", "--n", "3000"], 2),

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -31,8 +32,8 @@ from ripr.search import (
     _compile_rows,
     _mt_systems,
     _as_int_value,
-    _forcing_images,
     _image_plan,
+    _images,
     _node_rows,
     DEFAULT_NODE_BUDGET,
     BudgetExceeded,
@@ -44,7 +45,6 @@ from ripr.search import (
     forcing_bound,
     is_rapid,
     make_rapid,
-    refute_nonconstant,
     translate_witness,
 )
 from ripr.seqs import (
@@ -595,7 +595,7 @@ def test_forcing_at_every_budget(A, colours, n_max):
 
 
 def _realizable_images(A, n):
-    """Brute-force oracle for _forcing_images: the distinct value sets of A at
+    """Brute-force oracle for _images: the distinct value sets of A at
     assignments whose image lies in [1, n], from a sweep of the whole column
     box with one exact row product per row.
 
@@ -648,6 +648,14 @@ def _random_non_negative_matrix(rng):
     return FiniteMatrix.from_dense(rows, allow_duplicate_rows=True)
 
 
+def _assignments_within(A, n):
+    """How many assignments x >= 1 give A no row value above n, by a sweep
+    of the column box."""
+    col_max = [max(r[c] for r in A.rows) for c in range(A.width)]
+    ranges = [range(1, n // m + 1) for m in col_max]
+    return sum(all(r.dot(x) <= n for r in A.rows) for x in product(*ranges))
+
+
 def test_forcing_images_match_brute_oracle():
     rng = random.Random(11)
     mats = [parse_family(f) for f in _FORCING_FAMILIES]
@@ -662,8 +670,22 @@ def test_forcing_images_match_brute_oracle():
                 _realizable_images(A, 1)
             continue
         planned += 1
+        scale = plan[3]
+        pairs = []
+        for top, image in _images(plan):
+            if top > 12 * scale:
+                break
+            pairs.append((top, image))
+        tops = [top for top, _ in pairs]
+        assert tops == sorted(tops), A.rows
+        images = [image for _, image in pairs if image is not None]
+        assert len(set(images)) == len(images), A.rows
+        assert all(max(image) * scale == top for top, image in pairs if image is not None)
+        # every assignment is popped once
+        assert len(pairs) == _assignments_within(A, 12), A.rows
         for n in range(1, 13):
-            assert _forcing_images(plan, n) == set(_realizable_images(A, n)), (A.rows, n)
+            got = {image for top, image in pairs if image is not None and top <= n * scale}
+            assert got == set(_realizable_images(A, n)), (A.rows, n)
     assert planned >= 100
 
 
@@ -720,6 +742,15 @@ def test_forcing_walk_deeper_than_the_recursion_limit():
     res = forcing_bound(FiniteMatrix.from_dense([(1,), (1000,)]), 2, 1500)
     assert res.bound is None
     assert res.certificate == tuple(int(v == 1000) for v in range(1, 1501))
+
+
+def test_forcing_answers_identity_from_the_image_of_ones():
+    # {1} is the image at (1, ..., 1), so bound 1 needs none of the 2^23
+    # assignments in the column box at n = 2
+    start = time.monotonic()
+    res = forcing_bound(identity_matrix(23), 2, 3)
+    assert time.monotonic() - start < 1
+    assert (res.bound, res.certificate, res.nodes) == (1, (), 1)
 
 
 def test_forcing_images_wider_than_the_recursion_limit():
@@ -862,26 +893,6 @@ def test_make_rapid():
         assert is_rapid(seq, p)
         for s, v in zip(seeds, seq):
             assert v % s == 0
-
-
-def test_refute_nonconstant():
-    row = refute_nonconstant(1, (2, 1))
-    assert row.dense(2) == (-2, 3)
-    assert row.dot((2, 1)) == -1
-    row2 = refute_nonconstant(2, (1, 3))
-    assert row2.dense(2) == (5, -3)
-    assert row2.dot((1, 3)) == -4
-    with pytest.raises(ValueError):
-        refute_nonconstant(1, (4, 4))
-    rng = random.Random(42)
-    for _ in range(100):
-        c = rng.choice([0, 1, 2, Fraction(1, 2), Fraction(7, 3)])
-        x = tuple(rng.randint(1, 30) for _ in range(rng.randint(2, 6)))
-        if len(set(x)) == 1:
-            continue
-        r = refute_nonconstant(c, x)
-        assert sum(r.values()) == c  # row sums to c
-        assert r.dot(x) < 0
 
 
 def test_separation_proportional():
