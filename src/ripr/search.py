@@ -41,13 +41,16 @@ only the values of the common colour's class once that colour is known; see
 _Classes.  Such a value is not coloured again: the node leaves x_d's own row
 unchecked, unless distinct_image needs its value.  The span values skipped
 still count one node each, so witnesses, node counts and budget stops are
-exactly those of the walk over the whole span: the node charges each member
-together with the span values skipped before it, in one step, and charges
-the values after its last member through _Counter.skip.  It reads the class
-as the filed sequence itself, followed, while the span is not yet all
-coloured, by a tail that colours only up to the next member.  Separation
-narrows the same way but counts only the members it tries.  Each children
-generator counts the candidates it tries itself.
+exactly those of the walk over the whole span: the node charges each
+candidate together with the span values skipped before it, in one step, and
+charges the values after its last candidate through _Counter.skip.  Over a
+span of more than 64 values the classes are bitmasks, and such a node also
+tests each row base + x_d with base >= 0 (a shift row) on them: its
+candidates are the class's mask ANDed with the mask shifted right by each
+base, so only the other rows are tested per candidate.  Separation narrows
+too, but counts only the members it tries, and reads them from classes
+filed as arrays.  Each children generator counts the candidates it tries
+itself.
 
 A node entered with its common colour known, without distinct_image, whose
 rows come down to one integral row, tests each candidate only for a positive
@@ -58,11 +61,12 @@ on entry.
 
 import math
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import chain, count
+from itertools import count
 from typing import NamedTuple
 
 from .matgen import _check_budget, _check_counted, is_first_entries
@@ -99,73 +103,139 @@ class _BudgetHit(Exception):
     pass
 
 
-_NO_COLOUR = object()  # equal to no colour
-
-
 class _Classes:
-    """The colour classes of a span of values, coloured lazily in increasing
-    order.
+    """The colour classes of a span of values, coloured in increasing order
+    as the walks ask for them.
 
-    index[c] holds, in increasing order, the values of colour c among those
-    reached so far: a 1-tuple while the class has one member (most classes
-    of the gap colouring never get a second), then an array of machine
-    integers (a list where the span runs past them).  A value reached costs
-    8 bytes, one array entry, in any class of two or more; only one colour
-    object per class is kept.  A walk that counts the values it skips as
-    nodes colours at most one value past its node budget; one that does not
-    colours the whole span first.  The colouring must be defined on every
-    value reached, with hashable colours: values are coloured ahead of the
-    walk, some that the walk would have pruned before colouring them
-    included.
+    Over a span of more than 64 values each colour keeps a bitmask while at
+    most 64 colours have appeared: masks[ids[c]] has bit i set when
+    span.start + i has colour c.  The masks run past the span over the values
+    that shift rows take (see walk).  A value reached costs one bit per
+    colour, at most 8 bytes.  A 65th colour, or a walk that asks for a whole
+    class, turns the masks into classes filed in index, as a shorter span
+    keeps its classes from the start: index[c] holds the span values of
+    colour c reached so far, in increasing order, as an array of machine
+    integers (a list where the span runs past them), 8 bytes a value, or as a
+    1-tuple while a class filed value by value has one member (most classes
+    of the gap colouring never get a second).  Only one colour object per
+    class is kept.  Every value is coloured once, through colour_of, which
+    must be defined on every value reached, with hashable colours: values are
+    coloured ahead of the walk, some that the walk would have pruned before
+    colouring them included.
     """
 
-    __slots__ = ("colour_of", "span", "reached", "index")
+    __slots__ = ("colour_of", "span", "reached", "ids", "masks", "index")
 
     def __init__(self, colour_of, span):
         self.colour_of = colour_of
         self.span = span
         self.reached = span.start  # every value below it is coloured and filed
+        self.ids = {}  # colour -> its position in masks
+        self.masks = [] if len(span) > 64 else None  # None while the classes are filed in index
         self.index = {}
 
     def members(self, c, counter=None):
-        """The values of colour c, in increasing order.
+        """The span values of colour c, in increasing order.
 
-        Without a counter the whole span is coloured first.  With one, the
-        members filed so far come as the filed sequence itself, and once it
-        runs out a tail colours on only up to the next member.  The caller
-        must charge each member to the counter, with the span values skipped
-        before it, before it asks for the next: the tail colours no value
-        past the one at which that charge would exceed the budget.
+        Without a counter the whole span is coloured first and the filed
+        class itself is returned.  With one, so is the filed class once the
+        span is all coloured and filed; until then the values come from walk.
         """
-        if counter is None and self.reached < self.span.stop:
-            self._reach(self.span.stop)
-        found = self.index.get(c, ())
-        if self.reached >= self.span.stop:
-            return found
-        return chain(found, self._tail(c, found, counter))
+        stop = self.span.stop
+        if counter is None and (self.masks is not None or self.reached < stop):
+            self._unmask()
+            self._reach(stop)
+        if self.masks is None and self.reached >= stop:
+            return self.index.get(c, ())
+        return self.walk(c, counter)
 
-    def _tail(self, c, head, counter):
-        # Runs once the caller has walked head; an array head has grown by
-        # what deeper walks filed meanwhile, and a 1-tuple head is replaced
-        # in index once its class gets a second member.
-        span, index = self.span, self.index
-        k = len(head)  # the position in index[c] of the next member
+    def walk(self, c, counter, shifts=(), widest=0):
+        """The span values v of colour c, in increasing order, leaving out
+        those with some base + v, base in shifts, of another colour.
+
+        The caller must charge each value yielded to the counter, with the
+        span values skipped before it, before it asks for the next.  Values
+        are coloured ahead in steps that grow with the range covered, never
+        past the last one whose charge stays within the budget, plus the
+        largest shift; once that last one ends the span, plus widest, the
+        largest shift the rows can take.  Under masks a step's candidates
+        come from bit operations: the class's mask, ANDed with it shifted
+        right by each base.
+        """
+        start, stop = self.span.start, self.span.stop
+        colour_of, top = self.colour_of, max(shifts) if shifts else 0
+        nxt = lo = start  # nxt: the first value not charged; lo: the first not tried
         while True:
-            found = index.get(c, ())
-            if k < len(found):
-                v = found[k]
+            masks = self.masks
+            ahead = top if masks is not None else 0  # filed classes hold only the span
+            hi = nxt + counter.limit - counter.n  # charging hi would exceed the budget
+            if hi >= stop:
+                hi, cap = stop, stop + (widest if widest > ahead else ahead)
             else:
-                nxt = found[k - 1] + 1 if k else span.start  # the caller charged every value below
-                v = self._reach(min(span.stop, nxt + counter.limit - counter.n + 1), c)
-                if v is None:
-                    return
-            yield v
-            k += 1
+                cap = hi + ahead
+            if lo >= hi:
+                return
+            reached = self.reached
+            if reached - ahead < hi:
+                grown = start + 4 * (reached - ahead - start) + ahead
+                if grown <= lo + ahead:
+                    grown = lo + 1 + ahead
+                self._reach(grown if grown < cap else cap)
+                masks, reached = self.masks, self.reached
+            if masks is not None:
+                end = reached - top if reached - top < hi else hi
+                i = self.ids.get(c)
+                if i is not None:
+                    mask = masks[i] >> (lo - start)
+                    cand = mask & ((1 << (end - lo)) - 1)
+                    for base in shifts:
+                        cand &= mask >> base
+                    if cand:
+                        bits = bin(cand)  # bit i, for the value lo + i, at bits[last - lo - i]
+                        j = len(bits)
+                        last = lo + j - 1
+                        while (j := bits.rfind("1", 0, j)) >= 0:
+                            yield last - j
+                            nxt = last - j + 1
+            else:
+                end = reached if reached < hi else hi
+                found = self.index.get(c, ())
+                for v in found[bisect_left(found, lo):bisect_left(found, end)]:
+                    for base in shifts:
+                        if colour_of(base + v) != c:
+                            break
+                    else:
+                        yield v
+                        nxt = v + 1
+            lo = end
 
-    def _reach(self, stop, c=_NO_COLOUR):
-        """Colour and file the values from the first one not reached up to
-        stop, until one has colour c; return it, or None."""
+    def _reach(self, stop):
+        """Colour and file the values from the first one not reached up to stop."""
         colour_of, index = self.colour_of, self.index
+        if self.masks is not None:
+            start, v = self.span.start, self.reached
+            ids, masks, chunk = self.ids, self.masks, bytearray()
+            for k in map(colour_of, range(v, stop)):
+                i = ids.get(k)
+                if i is None:
+                    if len(ids) == 64:
+                        break
+                    i = ids[k] = len(masks)
+                    masks.append(0)
+                chunk.append(i)
+            for i in set(chunk):
+                bits = chunk.translate(b"0" * i + b"1" + b"0" * (255 - i))[::-1]
+                masks[i] |= int(bits, 2) << (v - start)
+            self.reached = v = v + len(chunk)
+            if v == stop:
+                return
+            # v has a 65th colour, k: from v on the classes are filed in index
+            self._unmask()
+            if v < self.span.stop:
+                index[k] = (v,)
+                self.reached = v + 1
+        if stop > self.span.stop:
+            stop = self.span.stop
         for v in range(self.reached, stop):
             k = colour_of(v)
             found = index.get(k)
@@ -176,11 +246,24 @@ class _Classes:
                     found = index[k] = (array("q", found) if self.span.stop <= 2**63
                                         else list(found))
                 found.append(v)
-            if k == c:
-                self.reached = v + 1
-                return v
-        self.reached = max(self.reached, stop)
-        return None
+        if stop > self.reached:
+            self.reached = stop
+
+    def _unmask(self):
+        """File the masked span values in index and stop masking."""
+        if self.masks is None:
+            return
+        start, stop = self.span.start, self.span.stop
+        span_bits = (1 << (min(self.reached, stop) - start)) - 1
+        for k, i in self.ids.items():
+            found = self.index[k] = array("q") if stop <= 2**63 else []
+            bits = bin(self.masks[i] & span_bits)  # as in walk
+            j = len(bits)
+            last = start + j - 1
+            while (j := bits.rfind("1", 0, j)) >= 0:
+                found.append(last - j)
+        self.reached = min(self.reached, stop)
+        self.ids = self.masks = None
 
 
 def _unit_rows(by_top):
@@ -294,9 +377,12 @@ def _mono_walk(by_top, x, classes, counter, colour=None, distinct_entries=True,
     common colour, except under distinct_image, which files its value.
     The walk's children fixes a node's rows once, counts each value it tries
     as one node and tests that value's rows inline.  count_skips counts each
-    span value skipped as one node too: a narrowed node charges each member
-    together with the values skipped before it, and the values after its last
-    member when its class runs out.
+    span value skipped as one node too: a narrowed node charges each
+    candidate together with the values skipped before it, and the values
+    after its last candidate when its class runs out.  Such a node, while the
+    classes are masks, leaves its shift rows (top 1, den 1, base from 0 to
+    8 * len(span)) to classes.walk, which tests them on the masks; the widest
+    base those rows can take bounds how far past the span it colours.
     A node entered with the colour known, distinct_image off and one integral
     row left tests only that row's value for a positive one of the colour.
     """
@@ -305,14 +391,36 @@ def _mono_walk(by_top, x, classes, counter, colour=None, distinct_entries=True,
     # under distinct_image a unit row's value must still enter the owner map
     narrowed = by_top if distinct_image else rest
     skips = counter if count_skips else None
+    far = 8 * len(span)  # a larger shift is tested per candidate, not masked
+    # per depth, the lower parts of the rows base + x_d that a counted class walk
+    # tests on its masks, and the rows left to each of its candidates
+    if count_skips and classes.masks is not None:
+        shifted = [[] if rows is None or distinct_image else
+                   [row[0] for row in rows if row[1] == row[2] == 1] for rows in narrowed]
+        tested = [rows if rows is None or distinct_image else
+                  [row for row in rows if row[1] != 1 or row[2] != 1] for rows in narrowed]
+        # the largest base each depth's rows base + x_d can take in the span, up to far
+        widest = [min(far, (span.stop - 1) * max(
+            (sum(c for _, c in lower if c > 0) for lower in lowers), default=0))
+            for lowers in shifted]
 
     def children(d, state):
         # state: (common colour so far or None, value -> tag of the row taking it)
         common, owner = state
         # once the colour is known, x_d prunes every value outside its class
         narrow = rest[d] is not None and common is not None
-        rows = _node_rows((narrowed if narrow else by_top)[d], x)
-        values = classes.members(common, skips) if narrow else span
+        if not narrow:
+            rows, values = _node_rows(by_top[d], x), span
+        elif count_skips and classes.masks is not None:
+            # the class walk tests the rows base + x_d on its masks
+            rows = _node_rows(tested[d], x)
+            bases = [sum(c * x[j] for j, c in lower) for lower in shifted[d]]
+            if bases and (min(bases) < 0 or max(bases) > far):
+                rows += [(base, 1, 1, None) for base in bases if not 0 <= base <= far]
+                bases = [base for base in bases if 0 <= base <= far]
+            values = classes.walk(common, counter, bases, widest[d])
+        else:
+            rows, values = _node_rows(narrowed[d], x), classes.members(common, skips)
         # a skipping node charges each member v as the span values nxt..v, in one step
         skipping = narrow and count_skips
         nxt = span.start

@@ -270,6 +270,12 @@ def test_cli_contract_examples(files):
         (["translate-search", "--a", "1", "--colouring", "mod:2", "--prefix", "19",
           "--bbound", "1", "--xbound", "3"], 2),
         (["gen", "fprime:3000:5"], 0),
+        # many colours, whose classes are filed, and 7 colours over a long span,
+        # whose classes are masks: both stop at the budget within the time limit
+        (["search", "--family", "schur", "--colouring", "mod:1000", "--bound", "1000000",
+          "--budget", "3000000"], 0),
+        (["search", "--family", "f:3", "--colouring", "mod:7", "--bound", "10000000",
+          "--distinct-entries", "--budget", "3000000"], 0),
     ]
     for argv, want in cases:
         out, err = io.StringIO(), io.StringIO()

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -302,6 +303,9 @@ def test_translate_rational_coefficients_match_brute_oracle():
 def _every_budget(run):
     """run(budget) at every budget from 0 to one past the unbudgeted node count."""
     full = run(None)
+    # every case here takes a few thousand nodes at most: a walk that lost its
+    # bounds fails here instead of running a budget per node
+    assert full.nodes <= 20000, full
     return [run(budget) for budget in range(full.nodes + 2)] + [full]
 
 
@@ -333,6 +337,25 @@ def test_class_candidates_match_span_walk(monkeypatch):
         (FiniteMatrix.from_dense([[1, 0], [0, 1], [0, 1], [2, 0], [1, 1]],
                                  allow_duplicate_rows=True),
          mod_colouring(3), SearchConfig(12, distinct_image=True)),
+        # Spans past 64 values, whose classes are masks: x_0 + x_1 is tested on the
+        # masks, while x_0 + 2 x_1 (top 2) and x_0 / 2 + x_1 (fractional) are
+        # tested per candidate
+        (FiniteMatrix.from_dense([[1, 0], [0, 1], [1, 1], [1, 2]]), mod_colouring(3),
+         SearchConfig(70)),
+        (FiniteMatrix.from_dense([[1, 0], [0, 1], [half, 1]]), mod_colouring(3),
+         SearchConfig(70)),
+        # x_0 - x_1 + x_2: a shift while x_0 >= x_1, tested per candidate below
+        (FiniteMatrix.from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, -1, 1]]),
+         mod_colouring(2), SearchConfig(70, distinct_entries=True)),
+        (finite_sums_matrix(3), mod_colouring(3),
+         SearchConfig(75, min_entry=5, distinct_entries=True)),
+        # masks over values past the machine integers; the shifts there exceed 8 * 81
+        (schur_matrix(), mod_colouring(5),
+         SearchConfig(2**63 + 40, min_entry=2**63 - 40, distinct_entries=True)),
+        # a 65th colour turns the masks into filed classes mid-walk: inside the span,
+        # and, past the machine integers, into lists
+        (schur_matrix(), _fives(), SearchConfig(90)),
+        (schur_matrix(), _fives(), SearchConfig(2**63 + 60, min_entry=2**63 - 40)),
     ]
     dominate = [
         (finite_sums_matrix(3), arithmetic_progression_matrix(3), (1, 4, 16), 22),
@@ -341,11 +364,17 @@ def test_class_candidates_match_span_walk(monkeypatch):
         # y_0 and y_1 walk the same target values, none of them a witness
         (finite_sums_matrix(3), FiniteMatrix.from_dense([[1, 0], [0, 1], [1, 1], [1, 2]]),
          (1, 4, 16), 21),
+        # a masked span: entry 0 has no shift row, entry 1 shifts by y_0; the target
+        # holds 68, one past the span
+        (finite_sums_matrix(3), FiniteMatrix.from_dense([[1, 0], [0, 1], [1, 1], [1, 2]]),
+         (1, 4, 64), 67),
     ]
     translate = [
         (mod_colouring(3), (2, 1), 3, 3, 8),
         (mod_colouring(4), (1,), 2, 3, 9),
         (digit_profile_colouring(5), (2, 1), 2, 2, 12),
+        # a masked span, b past it
+        (mod_colouring(4), (1,), 2, 80, 66),
     ]
 
     separate = [
@@ -390,6 +419,11 @@ def test_class_candidates_match_span_walk(monkeypatch):
     assert any(witnesses) and not all(witnesses)
 
 
+def _fives():
+    # multiples of 5 share one colour; every other value has a colour of its own
+    return Colouring("fives", lambda v: 0 if v % 5 == 0 else v)
+
+
 def test_class_members_are_not_coloured_again(monkeypatch):
     # x_d drawn from the common colour's class needs no colour lookup of its own
     calls = []
@@ -430,6 +464,29 @@ def test_sparse_class_walk_colours_about_its_budget(monkeypatch):
     assert got[1] <= want[1] + budget + 2 and got[3] <= want[3] + budget + 2
 
 
+@pytest.mark.parametrize("A, col, cfg, peak_bytes", [
+    # a 65th colour stops the masks: classes filed at 8 bytes a value
+    (schur_matrix(), mod_colouring(1000), SearchConfig(10**5, node_budget=3 * 10**5),
+     1_121_000),
+    # 7 colours: masks at 7 bits a value
+    (finite_sums_matrix(3), mod_colouring(7),
+     SearchConfig(10**6, distinct_entries=True, node_budget=3 * 10**5), 2_700_000),
+])
+def test_class_store_memory(A, col, cfg, peak_bytes):
+    # Both searches colour about 3 * 10^5 values before the budget stops them.
+    # The bounds are 1.1 times the peaks of a store that filed every class as
+    # an array (1,019,799 and 2,455,304 bytes under CPython 3.11), which the
+    # masks must not exceed.
+    tracemalloc.start()
+    try:
+        res = find_monochromatic(A, col, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.nodes, res.exhausted) == (cfg.node_budget + 1, False)
+    assert peak <= peak_bytes
+
+
 def test_class_walk_colours_only_up_to_its_first_member():
     # Every value has one colour, so the witness takes the first members; a walk
     # that coloured its span, or its budget of it, ahead would colour 10^7 values.
@@ -446,28 +503,60 @@ def test_class_walk_colours_only_up_to_its_first_member():
 
 @pytest.mark.parametrize("reached", [1, 4, 7, 20, 60])
 def test_class_members_see_what_another_walk_files(reached):
-    # Two walks over one class, interleaved: the inner one files members while
-    # the outer one is suspended, in its filed head (empty, a 1-tuple that an
-    # array replaces, or an array that grows) or in its lazy tail.
-    span = range(1, 60)
-    want = [v for v in span if v % 3 == 0]
-    counter = _Counter(None)  # a budget far past the span: no tail stops early
-    for taken in range(4):
-        classes = _Classes(lambda v: v % 3, span)
-        classes._reach(reached)
-        outer = iter(classes.members(0, counter))
-        got_outer = [next(outer) for _ in range(taken)]
-        inner = iter(classes.members(0, counter))
-        got_inner = []
-        for _ in want:
-            # the inner walk takes two members for every one the outer takes
-            got_inner += [v for v in (next(inner, None), next(inner, None)) if v is not None]
-            got_outer += [v for v in (next(outer, None),) if v is not None]
-        assert got_inner == got_outer == want, (reached, taken)
-        # once the span is reached, a walk reads the filed class itself
-        assert classes.reached == span.stop
-        assert list(classes.members(0, counter)) == want
-        assert list(classes.members(0)) == want
+    # Two walks over one class, interleaved: the inner one colours and files
+    # values while the outer one is suspended, in classes filed in index (a
+    # span of at most 64 values) or in masks.
+    for span in (range(1, 60), range(1, 200)):
+        want = [v for v in span if v % 3 == 0]
+        counter = _Counter(None)  # a budget far past the span: no walk stops early
+        for taken in range(4):
+            classes = _Classes(lambda v: v % 3, span)
+            classes._reach(reached)
+            outer = iter(classes.members(0, counter))
+            got_outer = [next(outer) for _ in range(taken)]
+            inner = iter(classes.members(0, counter))
+            got_inner = []
+            for _ in want:
+                # the inner walk takes two members for every one the outer takes
+                got_inner += [v for v in (next(inner, None), next(inner, None)) if v is not None]
+                got_outer += [v for v in (next(outer, None),) if v is not None]
+            assert got_inner == got_outer == want, (span, reached, taken)
+            # once the span is reached, a walk reads the filed class itself
+            assert classes.reached == span.stop
+            assert list(classes.members(0, counter)) == want
+            assert list(classes.members(0)) == want
+
+
+@pytest.mark.parametrize("colours", [3, 70])
+def test_masked_class_walk_matches_a_member_scan(colours):
+    # walk(c, counter, shifts, widest) against the members it must yield,
+    # within each budget: values of colour c whose shifted values have colour c
+    # too.  Shifts past widest, the largest the rows were thought to reach,
+    # still terminate; 70 colours turn the masks into filed classes midway.
+    def colour(v):
+        return v % colours
+
+    # 147 values are masked; 57 are filed from the start, which colours no shifted value
+    for span in (range(3, 150), range(3, 60)):
+        for c, shifts, widest in [(0, [], 0), (1, [3], 40), (2, [6, 30], 30),
+                                  (0, [60, 300], 90)]:
+            want = [v for v in span
+                    if colour(v) == c and all(colour(v + b) == c for b in shifts)]
+            for budget in (0, 5, 40, 10**7):
+                classes, counter = _Classes(colour, span), _Counter(budget)
+                got = []
+                for v in classes.walk(c, counter, shifts, widest):
+                    # charge as the caller does: each value with the span values before it
+                    counter.n = v - span.start + 1
+                    if counter.n > budget:
+                        break
+                    got.append(v)
+                assert got == [v for v in want if v - span.start < budget], (c, shifts, budget)
+                # colouring ahead stops at the budget window plus the largest shift,
+                # or plus widest once the window ends the span
+                far = max(shifts + [widest]) if budget >= len(span) else max(shifts, default=0)
+                far *= len(span) > 64
+                assert classes.reached <= min(span.stop, span.start + budget + 1) + far
 
 
 def _compiled_values(by_top, x):
@@ -754,8 +843,8 @@ def test_forcing_answers_identity_from_the_image_of_ones():
 
 
 def test_forcing_images_wider_than_the_recursion_limit():
-    # 1000 x_j for 1500 columns: the image {1000} appears at n = 1000, so the
-    # enumeration at reach 1001 walks all 1500 columns
+    # 1000 x_j for 1500 columns: the image {1000} appears at n = 1000, from the
+    # first assignment of the image stream, which pushes one successor per column
     A = FiniteMatrix([SparseRow({j: 1000}) for j in range(1500)], 1500)
     res = forcing_bound(A, 1, 1001)
     assert (res.bound, res.certificate, res.nodes) == (1000, (0,) * 999, 1000)
