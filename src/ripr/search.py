@@ -48,9 +48,10 @@ span of more than 64 values the classes are bitmasks, and such a node also
 tests each row base + x_d with base >= 0 (a shift row) on them: its
 candidates are the class's mask ANDed with the mask shifted right by each
 base, so only the other rows are tested per candidate.  Separation narrows
-too, but counts only the members it tries, and reads them from classes
-filed as arrays.  Each children generator counts the candidates it tries
-itself.
+too and tests its shift rows on the masks alike, but counts only the class
+members it tries: the class walk charges the members it leaves out, counted
+on the mask, before each candidate it yields.  Each children generator
+counts the candidates it tries itself.
 
 A node entered with its common colour known, without distinct_image, whose
 rows come down to one integral row, tests each candidate only for a positive
@@ -107,60 +108,61 @@ class _Classes:
     """The colour classes of a span of values, coloured in increasing order
     as the walks ask for them.
 
-    Over a span of more than 64 values each colour keeps a bitmask while at
-    most 64 colours have appeared: masks[ids[c]] has bit i set when
-    span.start + i has colour c.  The masks run past the span over the values
-    that shift rows take (see walk).  A value reached costs one bit per
-    colour, at most 8 bytes.  A 65th colour, or a walk that asks for a whole
-    class, turns the masks into classes filed in index, as a shorter span
-    keeps its classes from the start: index[c] holds the span values of
-    colour c reached so far, in increasing order, as an array of machine
-    integers (a list where the span runs past them), 8 bytes a value, or as a
-    1-tuple while a class filed value by value has one member (most classes
-    of the gap colouring never get a second).  Only one colour object per
-    class is kept.  Every value is coloured once, through colour_of, which
-    must be defined on every value reached, with hashable colours: values are
-    coloured ahead of the walk, some that the walk would have pruned before
-    colouring them included.
+    Over a span of more than 64 values each class is a bitmask: masks[ids[c]]
+    has bit i set when firsts[ids[c]] + i has colour c.  The masks run past
+    the span over the values that shift rows take (see walk).  The first 64
+    classes are wide: their bit 0 is the span's first value, each chunk of
+    values coloured sets their bits at once, from one byte per value, and
+    they cost at most one bit each per value.  A later class starts at its
+    first member and takes its members one bit at a time while it spans
+    fewer than 512 values, so the many short classes of the gap colouring
+    cost a few words each.  A later class that spans more turns the masks
+    into classes filed in index, as a shorter span keeps its classes from
+    the start:
+    index[c] holds the span values of colour c reached so far, in increasing
+    order, as an array of machine integers (a list where the span runs past
+    them), 8 bytes a value, or as a 1-tuple while a class filed value by
+    value has one member.  Only one colour object per class is kept.  Every
+    value is coloured once, through colour_of, which must be defined on
+    every value reached, with hashable colours: values are coloured ahead of
+    the walk, some that the walk would have pruned before colouring them
+    included.
     """
 
-    __slots__ = ("colour_of", "span", "reached", "ids", "masks", "index")
+    __slots__ = ("colour_of", "span", "reached", "ids", "firsts", "masks", "wide", "index")
 
     def __init__(self, colour_of, span):
         self.colour_of = colour_of
         self.span = span
         self.reached = span.start  # every value below it is coloured and filed
         self.ids = {}  # colour -> its position in masks
+        self.firsts = []  # per mask, the value of its bit 0
         self.masks = [] if len(span) > 64 else None  # None while the classes are filed in index
+        self.wide = {}  # colour of a wide class -> its byte in a chunk
         self.index = {}
 
-    def members(self, c, counter=None):
-        """The span values of colour c, in increasing order.
-
-        Without a counter the whole span is coloured first and the filed
-        class itself is returned.  With one, so is the filed class once the
-        span is all coloured and filed; until then the values come from walk.
-        """
-        stop = self.span.stop
-        if counter is None and (self.masks is not None or self.reached < stop):
-            self._unmask()
-            self._reach(stop)
-        if self.masks is None and self.reached >= stop:
+    def members(self, c, counter, count_members=False):
+        """The span values of colour c, in increasing order: the filed class
+        itself once the span is all coloured and filed, else those of walk."""
+        if self.masks is None and self.reached >= self.span.stop:
             return self.index.get(c, ())
-        return self.walk(c, counter)
+        return self.walk(c, counter, count_members=count_members)
 
-    def walk(self, c, counter, shifts=(), widest=0):
+    def walk(self, c, counter, shifts=(), widest=0, count_members=False):
         """The span values v of colour c, in increasing order, leaving out
         those with some base + v, base in shifts, of another colour.
 
-        The caller must charge each value yielded to the counter, with the
-        span values skipped before it, before it asks for the next.  Values
-        are coloured ahead in steps that grow with the range covered, never
-        past the last one whose charge stays within the budget, plus the
-        largest shift; once that last one ends the span, plus widest, the
-        largest shift the rows can take.  Under masks a step's candidates
-        come from bit operations: the class's mask, ANDed with it shifted
-        right by each base.
+        The caller must charge each value yielded to the counter before it
+        asks for the next: together with the span values skipped before it,
+        or, under count_members, as one node, the walk itself charging each
+        member of c that it leaves out as one node.  Values are coloured ahead
+        in steps that grow with the range covered, never past the step in
+        which the charges pass the budget, plus the largest shift; once a
+        step ends the span, plus widest, the largest shift the rows can take.
+        A member walk colours past the span in fourfold steps too.  Under
+        masks a step's candidates come from bit operations: the class's mask,
+        ANDed with it shifted right by each base, and the members it leaves
+        out are counted on the mask.
         """
         start, stop = self.span.start, self.span.stop
         colour_of, top = self.colour_of, max(shifts) if shifts else 0
@@ -168,15 +170,19 @@ class _Classes:
         while True:
             masks = self.masks
             ahead = top if masks is not None else 0  # filed classes hold only the span
-            hi = nxt + counter.limit - counter.n  # charging hi would exceed the budget
-            if hi >= stop:
-                hi, cap = stop, stop + (widest if widest > ahead else ahead)
-            else:
-                cap = hi + ahead
+            # charging hi would exceed the budget; members are charged step by step
+            hi = stop if count_members else nxt + counter.limit - counter.n
+            if hi > stop:
+                hi = stop
             if lo >= hi:
                 return
             reached = self.reached
             if reached - ahead < hi:
+                if hi < stop:
+                    cap = hi + ahead
+                else:  # past the span, a member walk colours in fourfold steps too
+                    far = min(widest, 4 * (reached - stop)) if count_members else widest
+                    cap = stop + (far if far > ahead else ahead)
                 grown = start + 4 * (reached - ahead - start) + ahead
                 if grown <= lo + ahead:
                     grown = lo + 1 + ahead
@@ -185,54 +191,91 @@ class _Classes:
             if masks is not None:
                 end = reached - top if reached - top < hi else hi
                 i = self.ids.get(c)
-                if i is not None:
-                    mask = masks[i] >> (lo - start)
-                    cand = mask & ((1 << (end - lo)) - 1)
+                f = end if i is None else self.firsts[i]
+                if f < end:
+                    lo = lo if lo > f else f  # no member comes before f
+                    mask = masks[i] >> (lo - f)
+                    cand = inside = (mask if mask.bit_length() <= end - lo
+                                     else mask & ((1 << (end - lo)) - 1))
                     for base in shifts:
                         cand &= mask >> base
-                    if cand:
+                    if cand and not count_members:
                         bits = bin(cand)  # bit i, for the value lo + i, at bits[last - lo - i]
                         j = len(bits)
                         last = lo + j - 1
                         while (j := bits.rfind("1", 0, j)) >= 0:
                             yield last - j
                             nxt = last - j + 1
+                    elif count_members:
+                        nxt = lo  # every member below lo is charged
+                        if cand:
+                            bits, ones = bin(cand), bin(inside)  # ones: the step's members, alike
+                            j, k = len(bits), len(ones) + lo
+                            last = lo + j - 1
+                            while (j := bits.rfind("1", 0, j)) >= 0:
+                                counter.skip(ones.count("1", k - last + j, k - nxt))
+                                yield last - j
+                                nxt = last - j + 1
+                        counter.skip((inside >> (nxt - lo)).bit_count())
             else:
                 end = reached if reached < hi else hi
                 found = self.index.get(c, ())
-                for v in found[bisect_left(found, lo):bisect_left(found, end)]:
+                done = bisect_left(found, lo)  # found[:done] is charged
+                for j in range(done, bisect_left(found, end)):
+                    v = found[j]
                     for base in shifts:
                         if colour_of(base + v) != c:
                             break
                     else:
+                        if count_members:
+                            counter.skip(j - done)
+                            done = j + 1
                         yield v
                         nxt = v + 1
+                if count_members:
+                    counter.skip(bisect_left(found, end) - done)
+            if end >= hi:  # hi never grows: a later step would have no values
+                return
             lo = end
 
     def _reach(self, stop):
         """Colour and file the values from the first one not reached up to stop."""
         colour_of, index = self.colour_of, self.index
         if self.masks is not None:
-            start, v = self.span.start, self.reached
-            ids, masks, chunk = self.ids, self.masks, bytearray()
-            for k in map(colour_of, range(v, stop)):
-                i = ids.get(k)
-                if i is None:
-                    if len(ids) == 64:
+            ids, firsts, masks, wide = self.ids, self.firsts, self.masks, self.wide
+            start, v0 = self.span.start, self.reached
+            chunk = bytearray()  # per value, the byte of its class if wide, else 64
+            for k in map(colour_of, range(v0, stop)):
+                b = wide.get(k, 64)
+                if b == 64:
+                    v = v0 + len(chunk)
+                    i = ids.get(k)
+                    if i is None:
+                        ids[k] = len(masks)
+                        if len(wide) < 64:  # a wide class is offset to the span
+                            b = wide[k] = len(wide)
+                            firsts.append(start)
+                            masks.append(0)
+                        else:
+                            firsts.append(v)
+                            masks.append(1)
+                    elif v - firsts[i] < 512:
+                        masks[i] |= 1 << (v - firsts[i])
+                    else:
                         break
-                    i = ids[k] = len(masks)
-                    masks.append(0)
-                chunk.append(i)
-            for i in set(chunk):
-                bits = chunk.translate(b"0" * i + b"1" + b"0" * (255 - i))[::-1]
-                masks[i] |= int(bits, 2) << (v - start)
-            self.reached = v = v + len(chunk)
+                chunk.append(b)
+            present = set(chunk)
+            for w, b in wide.items():
+                if b in present:
+                    bits = chunk.translate(b"0" * b + b"1" + b"0" * (255 - b))[::-1]
+                    masks[ids[w]] |= int(bits, 2) << (v0 - start)
+            self.reached = v = v0 + len(chunk)
             if v == stop:
                 return
-            # v has a 65th colour, k: from v on the classes are filed in index
+            # v's class, k, spans 512 values and is not wide: from v on the classes are filed
             self._unmask()
             if v < self.span.stop:
-                index[k] = (v,)
+                index[k].append(v)
                 self.reached = v + 1
         if stop > self.span.stop:
             stop = self.span.stop
@@ -251,19 +294,18 @@ class _Classes:
 
     def _unmask(self):
         """File the masked span values in index and stop masking."""
-        if self.masks is None:
-            return
-        start, stop = self.span.start, self.span.stop
-        span_bits = (1 << (min(self.reached, stop) - start)) - 1
+        stop = min(self.reached, self.span.stop)
         for k, i in self.ids.items():
-            found = self.index[k] = array("q") if stop <= 2**63 else []
-            bits = bin(self.masks[i] & span_bits)  # as in walk
-            j = len(bits)
-            last = start + j - 1
-            while (j := bits.rfind("1", 0, j)) >= 0:
-                found.append(last - j)
-        self.reached = min(self.reached, stop)
-        self.ids = self.masks = None
+            found = self.index[k] = array("q") if self.span.stop <= 2**63 else []
+            f = self.firsts[i]
+            if f < stop:
+                bits = bin(self.masks[i] & ((1 << (stop - f)) - 1))  # as in walk
+                j = len(bits)
+                last = f + j - 1
+                while (j := bits.rfind("1", 0, j)) >= 0:
+                    found.append(last - j)
+        self.reached = stop
+        self.ids = self.firsts = self.masks = self.wide = None
 
 
 def _unit_rows(by_top):
@@ -382,7 +424,9 @@ def _mono_walk(by_top, x, classes, counter, colour=None, distinct_entries=True,
     after its last candidate when its class runs out.  Such a node, while the
     classes are masks, leaves its shift rows (top 1, den 1, base from 0 to
     8 * len(span)) to classes.walk, which tests them on the masks; the widest
-    base those rows can take bounds how far past the span it colours.
+    base those rows can take bounds how far past the span it colours.  So does
+    a narrowed node without count_skips, but there the walk charges the class
+    members it leaves out, one node each, and the node each member it tries.
     A node entered with the colour known, distinct_image off and one integral
     row left tests only that row's value for a positive one of the colour.
     """
@@ -390,11 +434,10 @@ def _mono_walk(by_top, x, classes, counter, colour=None, distinct_entries=True,
     rest = _unit_rows(by_top)
     # under distinct_image a unit row's value must still enter the owner map
     narrowed = by_top if distinct_image else rest
-    skips = counter if count_skips else None
     far = 8 * len(span)  # a larger shift is tested per candidate, not masked
-    # per depth, the lower parts of the rows base + x_d that a counted class walk
-    # tests on its masks, and the rows left to each of its candidates
-    if count_skips and classes.masks is not None:
+    # per depth, the lower parts of the rows base + x_d that a class walk tests
+    # on its masks, and the rows left to each of its candidates
+    if classes.masks is not None:
         shifted = [[] if rows is None or distinct_image else
                    [row[0] for row in rows if row[1] == row[2] == 1] for rows in narrowed]
         tested = [rows if rows is None or distinct_image else
@@ -411,16 +454,17 @@ def _mono_walk(by_top, x, classes, counter, colour=None, distinct_entries=True,
         narrow = rest[d] is not None and common is not None
         if not narrow:
             rows, values = _node_rows(by_top[d], x), span
-        elif count_skips and classes.masks is not None:
+        elif classes.masks is not None:
             # the class walk tests the rows base + x_d on its masks
             rows = _node_rows(tested[d], x)
             bases = [sum(c * x[j] for j, c in lower) for lower in shifted[d]]
             if bases and (min(bases) < 0 or max(bases) > far):
                 rows += [(base, 1, 1, None) for base in bases if not 0 <= base <= far]
                 bases = [base for base in bases if 0 <= base <= far]
-            values = classes.walk(common, counter, bases, widest[d])
+            values = classes.walk(common, counter, bases, widest[d], not count_skips)
         else:
-            rows, values = _node_rows(narrowed[d], x), classes.members(common, skips)
+            rows = _node_rows(narrowed[d], x)
+            values = classes.members(common, counter, not count_skips)
         # a skipping node charges each member v as the span values nxt..v, in one step
         skipping = narrow and count_skips
         nxt = span.start

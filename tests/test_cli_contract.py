@@ -276,6 +276,13 @@ def test_cli_contract_examples(files):
           "--budget", "3000000"], 0),
         (["search", "--family", "f:3", "--colouring", "mod:7", "--bound", "10000000",
           "--distinct-entries", "--budget", "3000000"], 0),
+        # separation colours its classes step by step: a witness in the first
+        # steps leaves the rest of a 10^7 span uncoloured, and three dense
+        # classes over 10^6 values take their bits a chunk at a time
+        (["separate", "--a", "1", "--b", "2,1", "--colouring", "alpha:2", "--prefix", "2",
+          "--bound", "10000000"], 0),
+        (["separate", "--a", "1", "--b", "2,1", "--colouring", "mod:3", "--prefix", "2",
+          "--bound", "1000000"], 0),
     ]
     for argv, want in cases:
         out, err = io.StringIO(), io.StringIO()

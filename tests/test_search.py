@@ -2,6 +2,7 @@ import math
 import random
 import time
 import tracemalloc
+from contextlib import nullcontext
 from fractions import Fraction
 from itertools import product
 
@@ -28,6 +29,7 @@ from ripr.matgen import (
 )
 from ripr.ratcore import DimensionMismatch, FiniteMatrix, SparseRow, apply, image
 from ripr.search import (
+    _BudgetHit,
     _Classes,
     _Counter,
     _compile_rows,
@@ -524,7 +526,6 @@ def test_class_members_see_what_another_walk_files(reached):
             # once the span is reached, a walk reads the filed class itself
             assert classes.reached == span.stop
             assert list(classes.members(0, counter)) == want
-            assert list(classes.members(0)) == want
 
 
 @pytest.mark.parametrize("colours", [3, 70])
@@ -557,6 +558,49 @@ def test_masked_class_walk_matches_a_member_scan(colours):
                 far = max(shifts + [widest]) if budget >= len(span) else max(shifts, default=0)
                 far *= len(span) > 64
                 assert classes.reached <= min(span.stop, span.start + budget + 1) + far
+
+
+@pytest.mark.parametrize("colour", [
+    lambda v: v % 3,  # three classes, each taking its bits a chunk at a time
+    lambda v: v // 10,  # from the 65th class on, short classes set bit by bit
+    lambda v: v % 97,  # the 65th class passes 512 values: the classes are filed midway
+])
+def test_class_walks_match_a_member_scan(colour):
+    # Both walks over stores with more than 64 classes, against a scan of the
+    # class.  A member walk (count_members, as separation runs it): the caller
+    # charges one node per value yielded and the walk one per member it leaves
+    # out, so a budget stops at the same member, one node past itself, as a
+    # walk that tried every member, and colouring stops in the step where the
+    # members pass the budget.  A counted walk: the caller charges each value
+    # with the span values before it.  The last class of range(3, 1495) has
+    # members whose shifts pass the span's end; the class of span[64] is the
+    # 65th, whose growth files v % 97 midway.
+    for span in (range(3, 60), range(3, 1495)):
+        for at, shifts in [(0, []), (1, [5]), (700, [4]), (-1, [3]), (64, []),
+                           (2, [40, 333])]:
+            c = colour(span[at % len(span)])
+            members = [v for v in span if colour(v) == c]
+            passing = [v for v in members if all(colour(v + b) == c for b in shifts)]
+            for budget in (0, 7, 100, 10**7):
+                classes, counter = _Classes(colour, span), _Counter(budget)
+                got = []
+                with pytest.raises(_BudgetHit) if budget < len(members) else nullcontext():
+                    for v in classes.walk(c, counter, shifts, 8 * len(span), True):
+                        counter.skip(1)
+                        got.append(v)
+                assert got == [v for v in members[:budget] if v in passing], (span, c, budget)
+                assert counter.n == min(len(members), budget + 1)
+                if budget < len(members):
+                    hit = members[budget] - span.start + 1
+                    assert classes.reached <= span.start + 4 * hit + max(shifts, default=0)
+                classes, counter = _Classes(colour, span), _Counter(budget)
+                got = []
+                for v in classes.walk(c, counter, shifts, 8 * len(span)):
+                    counter.n = v - span.start + 1
+                    if counter.n > budget:
+                        break
+                    got.append(v)
+                assert got == [v for v in passing if v - span.start < budget], (span, c, budget)
 
 
 def _compiled_values(by_top, x):
@@ -1029,6 +1073,10 @@ def _mod3_reserving(colour):
     (digit_profile_colouring(5), (1,), (2, 1), 2, 30, "none-within-bounds", 62),
     (_mod3_reserving(0), (1,), (2, 1), 2, 12, "none-within-bounds", 44),
     (_mod3_reserving(1), (2, 1), (3, 1), 2, 8, "witness", 7),
+    # spans past 64 values, whose narrowed nodes test their shift rows on masks
+    (digit_profile_colouring(5), (1,), (2, 1), 3, 120, "none-within-bounds", 278),
+    (negabase_gap_colouring(7, (1, 2)), (1,), (2, 1), 2, 2600, "none-within-bounds", 2853),
+    (mod_colouring(3), (2, 1), (1,), 2, 100, "witness", 2320),
 ])
 def test_separation_at_every_budget(col, a, b, length, bound, outcome, nodes):
     # Separation counts only the class members it tries, not the values it
@@ -1041,6 +1089,15 @@ def test_separation_at_every_budget(col, a, b, length, bound, outcome, nodes):
         assert (rep.outcome, rep.witness, rep.nodes) == ("budget", None, budget + 1)
     for budget in (nodes, nodes + 1, 10 * nodes):
         assert check_separation(col, a, b, length, bound, budget) == full
+
+
+def test_masked_separation_matches_brute_oracle():
+    # The oracle colours every value itself, so it shares no class store with
+    # the walk, whose b-side narrows and tests y_0 + y_1 on the masks.
+    col = mod_colouring(3)
+    rep = check_separation(col, (2, 1), (1,), 2, 100)
+    assert rep.witness == _brute_separation(col, (2, 1), (1,), 2, 100)
+    assert rep.witness == {"x": (1, 4), "y": (3, 6), "colour": 0}
 
 
 def test_translate_witness_anchor():
