@@ -13,7 +13,10 @@ from .digits import base_digits, gap_tally, negabase_digits
 
 class Colouring:
     """kind tags the construction; reserved lists colours that separation
-    searches must not accept as a common colour (see check_separation)."""
+    searches must not accept as a common colour (see check_separation).
+
+    A memoised colouring must return hashable colours: its memo keeps one
+    object per distinct colour, shared by every value of that colour."""
 
     def __init__(self, kind, fn, reserved=frozenset(), params=None, memoize=False):
         self.kind = kind
@@ -21,6 +24,7 @@ class Colouring:
         self.reserved = frozenset(reserved)
         self.params = dict(params or {})
         self._memo = {} if memoize else None
+        self._canon = {}  # each colour the memo holds, keyed by itself
 
     def colour(self, x):
         # plain ints skip both isinstance checks: searches call this per candidate
@@ -33,7 +37,8 @@ class Colouring:
             return self._fn(x)
         c = memo.get(x)
         if c is None:
-            c = memo[x] = self._fn(x)
+            c = self._fn(x)
+            c = memo[x] = self._canon.setdefault(c, c)
         return c
 
     def __repr__(self):
@@ -186,7 +191,9 @@ def negabase_gap_colouring(p, coeffs):
     digit and, when 1 is a coefficient, its gap counts.  Any other a*x is
     expanded once, and only when it has the nine digits that a gap site
     needs; a shorter one is recognised by its range (_gap_free_range) and
-    adds no gap count.
+    adds no gap count.  Up to free, the last x whose every a*x lies in that
+    range (360,300 for p = 7 and coefficients 1, 2), no a*x can have a gap
+    site: the colour is read from x's expansion alone, with no gap counts.
     """
     if not _is_prime(p):
         raise ValueError("base must be prime")
@@ -205,11 +212,17 @@ def negabase_gap_colouring(p, coeffs):
             seen.append(a)
     cutoff = p**4
     lo, hi = _gap_free_range(p)
+    free = min(hi // a if a > 0 else lo // a for a in seen)  # the last x with every a*x in range
 
     def fn(x):
         if x <= cutoff:
             return ("small",)
         own = negabase_digits(x, p)
+        d = own.digits
+        # x > p^4 puts the max support of x at 4 or above, so four top digits exist
+        lead, low = d[:-5:-1], d[0] or next(filter(None, d))
+        if x <= free:
+            return ("big", lead, low, ())
         finger = []
         for a in seen:
             ax = a * x
@@ -219,10 +232,7 @@ def negabase_gap_colouring(p, coeffs):
                 r = count % p
                 if r:
                     finger.append(((a, pat), r))
-        # x > p^4 puts the max support of x at 4 or above, so four top digits exist
-        d = own.digits
-        lead = (d[-1], d[-2], d[-3], d[-4])
-        return ("big", lead, next(filter(None, d)), tuple(sorted(finger)))
+        return ("big", lead, low, tuple(sorted(finger)))
 
     return Colouring(
         "notrapid",

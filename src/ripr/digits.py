@@ -81,7 +81,8 @@ def negabase_digits(x, p):
         d = x % p
         append(d)
         x = (d - x) // p
-    return DigitExpansion(-p, tuple(out))
+    # the NamedTuple's own __new__ would parse keywords: build the tuple directly
+    return tuple.__new__(DigitExpansion, (-p, tuple(out)))
 
 
 def negabase_range_check(x, p, s):

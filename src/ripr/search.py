@@ -111,14 +111,14 @@ class _Classes:
     Over a span of more than 64 values each class is a bitmask: masks[ids[c]]
     has bit i set when firsts[ids[c]] + i has colour c.  The masks run past
     the span over the values that shift rows take (see walk).  The first 64
-    classes are wide: their bit 0 is the span's first value, each chunk of
-    values coloured sets their bits at once, from one byte per value, and
-    they cost at most one bit each per value.  A later class starts at its
-    first member and takes its members one bit at a time while it spans
-    fewer than 512 values, so the many short classes of the gap colouring
-    cost a few words each.  A later class that spans more turns the masks
-    into classes filed in index, as a shorter span keeps its classes from
-    the start:
+    classes, ids 0 to 63, are wide: their bit 0 is the span's first value,
+    each chunk of values coloured sets their bits at once, from one byte per
+    value holding the id, and they cost at most one bit each per value.  A
+    later class starts at its first member and takes its members one bit at
+    a time while it spans fewer than 512 values, so the many short classes
+    of the gap colouring cost a few words each.  A later class that spans
+    more turns the masks into classes filed in index, as a shorter span
+    keeps its classes from the start:
     index[c] holds the span values of colour c reached so far, in increasing
     order, as an array of machine integers (a list where the span runs past
     them), 8 bytes a value, or as a 1-tuple while a class filed value by
@@ -129,7 +129,7 @@ class _Classes:
     included.
     """
 
-    __slots__ = ("colour_of", "span", "reached", "ids", "firsts", "masks", "wide", "index")
+    __slots__ = ("colour_of", "span", "reached", "ids", "firsts", "masks", "index")
 
     def __init__(self, colour_of, span):
         self.colour_of = colour_of
@@ -138,7 +138,6 @@ class _Classes:
         self.ids = {}  # colour -> its position in masks
         self.firsts = []  # per mask, the value of its bit 0
         self.masks = [] if len(span) > 64 else None  # None while the classes are filed in index
-        self.wide = {}  # colour of a wide class -> its byte in a chunk
         self.index = {}
 
     def members(self, c, counter, count_members=False):
@@ -242,33 +241,31 @@ class _Classes:
         """Colour and file the values from the first one not reached up to stop."""
         colour_of, index = self.colour_of, self.index
         if self.masks is not None:
-            ids, firsts, masks, wide = self.ids, self.firsts, self.masks, self.wide
+            ids, firsts, masks = self.ids, self.firsts, self.masks
             start, v0 = self.span.start, self.reached
-            chunk = bytearray()  # per value, the byte of its class if wide, else 64
+            chunk = bytearray()  # per value, the id of its class if wide, else 64
             for k in map(colour_of, range(v0, stop)):
-                b = wide.get(k, 64)
-                if b == 64:
-                    v = v0 + len(chunk)
-                    i = ids.get(k)
-                    if i is None:
-                        ids[k] = len(masks)
-                        if len(wide) < 64:  # a wide class is offset to the span
-                            b = wide[k] = len(wide)
-                            firsts.append(start)
-                            masks.append(0)
-                        else:
-                            firsts.append(v)
-                            masks.append(1)
-                    elif v - firsts[i] < 512:
-                        masks[i] |= 1 << (v - firsts[i])
+                i = ids.get(k)
+                if i is None:
+                    i = ids[k] = len(masks)
+                    if i < 64:  # a wide class is offset to the span
+                        firsts.append(start)
+                        masks.append(0)
                     else:
+                        firsts.append(v0 + len(chunk))
+                        masks.append(1)
+                        i = 64
+                elif i >= 64:
+                    bit = v0 + len(chunk) - firsts[i]
+                    if bit >= 512:
                         break
-                chunk.append(b)
-            present = set(chunk)
-            for w, b in wide.items():
-                if b in present:
+                    masks[i] |= 1 << bit
+                    i = 64
+                chunk.append(i)
+            for b in set(chunk):
+                if b < 64:
                     bits = chunk.translate(b"0" * b + b"1" + b"0" * (255 - b))[::-1]
-                    masks[ids[w]] |= int(bits, 2) << (v0 - start)
+                    masks[b] |= int(bits, 2) << (v0 - start)
             self.reached = v = v0 + len(chunk)
             if v == stop:
                 return
@@ -305,7 +302,7 @@ class _Classes:
                 while (j := bits.rfind("1", 0, j)) >= 0:
                     found.append(last - j)
         self.reached = stop
-        self.ids = self.firsts = self.masks = self.wide = None
+        self.ids = self.firsts = self.masks = None
 
 
 def _unit_rows(by_top):

@@ -192,7 +192,10 @@ def test_gap_free_range_counts_digits():
 @pytest.mark.parametrize("p,coeffs", _GAP_CASES + [(3, (1,))])
 def test_negabase_gap_matches_composition_where_gap_sites_begin(p, coeffs):
     # a*x gains its ninth digit past hi (a > 0) or below lo (a < 0): every x
-    # within 300 of that edge, for every coefficient a, on both sides of it
+    # within 300 of that edge, for every coefficient a, on both sides of it.
+    # Those a*x have no gap site yet, so each a also takes the x with a*x = y,
+    # y a value past the edge with exactly one: digits 1 at positions 4 and 8
+    # (9 when a < 0) and r at 0, r the least that makes a divide y
     fn = negabase_gap_colouring(p, coeffs)._fn
     lo, hi = _gap_free_range(p)
     xs = set()
@@ -201,6 +204,10 @@ def test_negabase_gap_matches_composition_where_gap_sites_begin(p, coeffs):
         assert len(negabase_digits(a * edge, p).digits) < 9
         assert len(negabase_digits(a * (edge + 1), p).digits) >= 9
         xs.update(range(max(1, edge - 300), edge + 301))
+        y = (p**8 if a > 0 else -(p**9)) + p**4
+        y += next(r for r in range(p) if (y + r) % a == 0)
+        assert list(gap_counts(y, p).values()) == [1]
+        xs.add(y // a)
     bad = [x for x in sorted(xs) if repr(fn(x)) != repr(_gap_colour_by_composition(p, coeffs, x))]
     assert not bad, bad[:5]
 
@@ -210,6 +217,12 @@ def test_negabase_gap_memoizes():
     v1 = col.colour(123456)
     assert col._memo[123456] == v1
     assert col.colour(123456) is v1
+    # every value of one colour shares one colour object
+    for col in (col, digit_profile_colouring(5)):
+        for x in range(1, 20001):
+            col.colour(x)
+        memo = col._memo
+        assert len({id(c) for c in memo.values()}) == len(set(memo.values())) < len(memo)
 
 
 def test_gap_additivity_hand_case():

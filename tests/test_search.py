@@ -533,12 +533,13 @@ def test_masked_class_walk_matches_a_member_scan(colours):
     # walk(c, counter, shifts, widest) against the members it must yield,
     # within each budget: values of colour c whose shifted values have colour c
     # too.  Shifts past widest, the largest the rows were thought to reach,
-    # still terminate; 70 colours turn the masks into filed classes midway.
+    # still terminate; 70 colours turn the masks into filed classes midway,
+    # when the 65th class, first met at 67, reaches 67 + 512.
     def colour(v):
         return v % colours
 
-    # 147 values are masked; 57 are filed from the start, which colours no shifted value
-    for span in (range(3, 150), range(3, 60)):
+    # 697 values are masked; 57 are filed from the start, which colours no shifted value
+    for span in (range(3, 700), range(3, 60)):
         for c, shifts, widest in [(0, [], 0), (1, [3], 40), (2, [6, 30], 30),
                                   (0, [60, 300], 90)]:
             want = [v for v in span
@@ -558,6 +559,8 @@ def test_masked_class_walk_matches_a_member_scan(colours):
                 far = max(shifts + [widest]) if budget >= len(span) else max(shifts, default=0)
                 far *= len(span) > 64
                 assert classes.reached <= min(span.stop, span.start + budget + 1) + far
+                if colours == 70 and budget >= len(span):
+                    assert classes.masks is None
 
 
 @pytest.mark.parametrize("colour", [
