@@ -39,19 +39,18 @@ per side, with the reserved colours refused as the common colour.
 When a node's rows include x_d itself (see _unit_rows), its candidates are
 only the values of the common colour's class once that colour is known; see
 _Classes.  Such a value is not coloured again: the node leaves x_d's own row
-unchecked, unless distinct_image needs its value.  The span values skipped
-still count one node each, so witnesses, node counts and budget stops are
-exactly those of the walk over the whole span: the node charges each
-candidate together with the span values skipped before it, in one step, and
-charges the values after its last candidate through _Counter.skip.  Over a
-span of more than 64 values the classes are bitmasks, and such a node also
-tests each row base + x_d with base >= 0 (a shift row) on them: its
-candidates are the class's mask ANDed with the mask shifted right by each
-base, so only the other rows are tested per candidate.  Separation narrows
-too and tests its shift rows on the masks alike, but counts only the class
-members it tries: the class walk charges the members it leaves out, counted
-on the mask, before each candidate it yields.  Each children generator
-counts the candidates it tries itself.
+unchecked, unless distinct_image needs its value.  Over a span of more than
+64 values the classes are bitmasks, and such a node also tests each row
+base + x_d with base >= 0 (a shift row) on them: its candidates are the
+class's mask ANDed with the mask shifted right by each base, so only the
+other rows are tested per candidate.
+
+Every search but forcing counts nodes by one rule: one node per candidate a
+node takes from its values and examines, and one node per value the class
+store colours, charged before the store colours it.  So a budget bounds the
+values coloured as well as the candidates tried, and since no step depends
+on the budget, a budget b below a request's full count stops it at node
+b + 1.  Forcing counts one node per colour tried.
 
 A node entered with its common colour known, without distinct_image, whose
 rows come down to one integral row, tests each candidate only for a positive
@@ -92,8 +91,8 @@ class _Counter:
         self.n = 0
         self.limit = DEFAULT_NODE_BUDGET if limit is None else limit
 
-    def skip(self, k):
-        """Count k nodes at once, stopping where k single steps would."""
+    def charge(self, k):
+        """Count k nodes at once, stopping at limit + 1 where they pass the limit."""
         self.n += k
         if self.n > self.limit:
             self.n = self.limit + 1
@@ -106,7 +105,7 @@ class _BudgetHit(Exception):
 
 class _Classes:
     """The colour classes of a span of values, coloured in increasing order
-    as the walks ask for them.
+    as the walks ask for them, one node charged to counter per value.
 
     Over a span of more than 64 values each class is a bitmask: masks[ids[c]]
     has bit i set when firsts[ids[c]] + i has colour c.  The masks run past
@@ -129,116 +128,84 @@ class _Classes:
     included.
     """
 
-    __slots__ = ("colour_of", "span", "reached", "ids", "firsts", "masks", "index")
+    __slots__ = ("colour_of", "span", "counter", "reached", "ids", "firsts", "masks", "index")
 
-    def __init__(self, colour_of, span):
+    def __init__(self, colour_of, span, counter):
         self.colour_of = colour_of
         self.span = span
-        self.reached = span.start  # every value below it is coloured and filed
+        self.counter = counter
+        self.reached = span.start  # every value below it is coloured, and filed if in the span
         self.ids = {}  # colour -> its position in masks
         self.firsts = []  # per mask, the value of its bit 0
         self.masks = [] if len(span) > 64 else None  # None while the classes are filed in index
         self.index = {}
 
-    def members(self, c, counter, count_members=False):
+    def members(self, c):
         """The span values of colour c, in increasing order: the filed class
         itself once the span is all coloured and filed, else those of walk."""
         if self.masks is None and self.reached >= self.span.stop:
             return self.index.get(c, ())
-        return self.walk(c, counter, count_members=count_members)
+        return self.walk(c)
 
-    def walk(self, c, counter, shifts=(), widest=0, count_members=False):
+    def walk(self, c, shifts=(), widest=0):
         """The span values v of colour c, in increasing order, leaving out
         those with some base + v, base in shifts, of another colour.
 
-        The caller must charge each value yielded to the counter before it
-        asks for the next: together with the span values skipped before it,
-        or, under count_members, as one node, the walk itself charging each
-        member of c that it leaves out as one node.  Values are coloured ahead
-        in steps that grow with the range covered, never past the step in
-        which the charges pass the budget, plus the largest shift; once a
-        step ends the span, plus widest, the largest shift the rows can take.
-        A member walk colours past the span in fourfold steps too.  Under
-        masks a step's candidates come from bit operations: the class's mask,
-        ANDed with it shifted right by each base, and the members it leaves
-        out are counted on the mask.
+        Values are coloured ahead in steps that grow fourfold with the range
+        covered, never past the span plus widest, the largest shift the rows
+        can take, or plus the largest shift if that is larger.  Under masks a
+        step's candidates come from bit operations: the class's mask, ANDed
+        with it shifted right by each base.
         """
         start, stop = self.span.start, self.span.stop
         colour_of, top = self.colour_of, max(shifts) if shifts else 0
-        nxt = lo = start  # nxt: the first value not charged; lo: the first not tried
+        lo = start  # the first value not tried
         while True:
             masks = self.masks
             ahead = top if masks is not None else 0  # filed classes hold only the span
-            # charging hi would exceed the budget; members are charged step by step
-            hi = stop if count_members else nxt + counter.limit - counter.n
-            if hi > stop:
-                hi = stop
-            if lo >= hi:
-                return
             reached = self.reached
-            if reached - ahead < hi:
-                if hi < stop:
-                    cap = hi + ahead
-                else:  # past the span, a member walk colours in fourfold steps too
-                    far = min(widest, 4 * (reached - stop)) if count_members else widest
-                    cap = stop + (far if far > ahead else ahead)
+            if reached - ahead < stop:
                 grown = start + 4 * (reached - ahead - start) + ahead
                 if grown <= lo + ahead:
                     grown = lo + 1 + ahead
-                self._reach(grown if grown < cap else cap)
+                self._reach(min(grown, stop + max(widest, ahead)))
                 masks, reached = self.masks, self.reached
             if masks is not None:
-                end = reached - top if reached - top < hi else hi
+                end = min(reached - top, stop)
                 i = self.ids.get(c)
                 f = end if i is None else self.firsts[i]
                 if f < end:
-                    lo = lo if lo > f else f  # no member comes before f
+                    lo = max(lo, f)  # no member comes before f
                     mask = masks[i] >> (lo - f)
-                    cand = inside = (mask if mask.bit_length() <= end - lo
-                                     else mask & ((1 << (end - lo)) - 1))
+                    cand = mask if mask.bit_length() <= end - lo else mask & ((1 << (end - lo)) - 1)
                     for base in shifts:
                         cand &= mask >> base
-                    if cand and not count_members:
-                        bits = bin(cand)  # bit i, for the value lo + i, at bits[last - lo - i]
-                        j = len(bits)
-                        last = lo + j - 1
-                        while (j := bits.rfind("1", 0, j)) >= 0:
-                            yield last - j
-                            nxt = last - j + 1
-                    elif count_members:
-                        nxt = lo  # every member below lo is charged
-                        if cand:
-                            bits, ones = bin(cand), bin(inside)  # ones: the step's members, alike
-                            j, k = len(bits), len(ones) + lo
-                            last = lo + j - 1
-                            while (j := bits.rfind("1", 0, j)) >= 0:
-                                counter.skip(ones.count("1", k - last + j, k - nxt))
-                                yield last - j
-                                nxt = last - j + 1
-                        counter.skip((inside >> (nxt - lo)).bit_count())
+                    bits = bin(cand)  # bit i, for the value lo + i, at bits[last - lo - i]
+                    j = len(bits)
+                    last = lo + j - 1
+                    while (j := bits.rfind("1", 0, j)) >= 0:
+                        yield last - j
             else:
-                end = reached if reached < hi else hi
+                end = min(reached, stop)
                 found = self.index.get(c, ())
-                done = bisect_left(found, lo)  # found[:done] is charged
-                for j in range(done, bisect_left(found, end)):
+                for j in range(bisect_left(found, lo), bisect_left(found, end)):
                     v = found[j]
                     for base in shifts:
                         if colour_of(base + v) != c:
                             break
                     else:
-                        if count_members:
-                            counter.skip(j - done)
-                            done = j + 1
                         yield v
-                        nxt = v + 1
-                if count_members:
-                    counter.skip(bisect_left(found, end) - done)
-            if end >= hi:  # hi never grows: a later step would have no values
+            if end >= stop:
                 return
             lo = end
 
     def _reach(self, stop):
-        """Colour and file the values from the first one not reached up to stop."""
+        """Charge one node per value from the first one not reached up to stop,
+        then colour them, filing those in the span."""
+        span_stop = self.span.stop
+        if self.masks is None and stop > span_stop:
+            stop = span_stop
+        self.counter.charge(stop - self.reached)
         colour_of, index = self.colour_of, self.index
         if self.masks is not None:
             ids, firsts, masks = self.ids, self.firsts, self.masks
@@ -271,11 +238,12 @@ class _Classes:
                 return
             # v's class, k, spans 512 values and is not wide: from v on the classes are filed
             self._unmask()
-            if v < self.span.stop:
+            if v < span_stop:
                 index[k].append(v)
                 self.reached = v + 1
-        if stop > self.span.stop:
-            stop = self.span.stop
+            for w in range(max(v + 1, span_stop), stop):
+                colour_of(w)  # charged: the values past the span are coloured, not filed
+            stop = min(stop, span_stop)
         for v in range(self.reached, stop):
             k = colour_of(v)
             found = index.get(k)
@@ -283,7 +251,7 @@ class _Classes:
                 index[k] = (v,)
             else:
                 if type(found) is tuple:
-                    found = index[k] = (array("q", found) if self.span.stop <= 2**63
+                    found = index[k] = (array("q", found) if span_stop <= 2**63
                                         else list(found))
                 found.append(v)
         if stop > self.reached:
@@ -400,7 +368,7 @@ def _first_leaf(leaves):
 
 
 def _mono_walk(by_top, x, classes, counter, colour=None, distinct_entries=True,
-               distinct_image=False, reserved=frozenset(), count_skips=True):
+               distinct_image=False, reserved=frozenset()):
     """Yield, in lexicographic order, the common colour of every assignment
     of the len(by_top) leading entries of x, drawn from classes.span, at which
     the compiled rows of by_top all take positive integer values of one
@@ -414,18 +382,14 @@ def _mono_walk(by_top, x, classes, counter, colour=None, distinct_entries=True,
     only the common colour's class once the colour is known (see _unit_rows),
     and x_d's row goes unchecked there, since each member already has the
     common colour, except under distinct_image, which files its value.
-    The walk's children fixes a node's rows once, counts each value it tries
-    as one node and tests that value's rows inline.  count_skips counts each
-    span value skipped as one node too: a narrowed node charges each
-    candidate together with the values skipped before it, and the values
-    after its last candidate when its class runs out.  Such a node, while the
-    classes are masks, leaves its shift rows (top 1, den 1, base from 0 to
-    8 * len(span)) to classes.walk, which tests them on the masks; the widest
-    base those rows can take bounds how far past the span it colours.  So does
-    a narrowed node without count_skips, but there the walk charges the class
-    members it leaves out, one node each, and the node each member it tries.
-    A node entered with the colour known, distinct_image off and one integral
-    row left tests only that row's value for a positive one of the colour.
+    The walk's children fixes a node's rows once, counts each candidate it
+    takes as one node and tests that candidate's rows inline; the class store
+    counts the values it colours.  A narrowed node, while the classes are
+    masks, leaves its shift rows (top 1, den 1, base from 0 to 8 * len(span))
+    to classes.walk, which tests them on the masks; the widest base those
+    rows can take bounds how far past the span it colours.  A node entered
+    with the colour known, distinct_image off and one integral row left tests
+    only that row's value for a positive one of the colour.
     """
     span, colour_of, limit = classes.span, classes.colour_of, counter.limit
     rest = _unit_rows(by_top)
@@ -448,8 +412,7 @@ def _mono_walk(by_top, x, classes, counter, colour=None, distinct_entries=True,
         # state: (common colour so far or None, value -> tag of the row taking it)
         common, owner = state
         # once the colour is known, x_d prunes every value outside its class
-        narrow = rest[d] is not None and common is not None
-        if not narrow:
+        if rest[d] is None or common is None:
             rows, values = _node_rows(by_top[d], x), span
         elif classes.masks is not None:
             # the class walk tests the rows base + x_d on its masks
@@ -458,13 +421,10 @@ def _mono_walk(by_top, x, classes, counter, colour=None, distinct_entries=True,
             if bases and (min(bases) < 0 or max(bases) > far):
                 rows += [(base, 1, 1, None) for base in bases if not 0 <= base <= far]
                 bases = [base for base in bases if 0 <= base <= far]
-            values = classes.walk(common, counter, bases, widest[d], not count_skips)
+            values = classes.walk(common, bases, widest[d])
         else:
             rows = _node_rows(narrowed[d], x)
-            values = classes.members(common, counter, not count_skips)
-        # a skipping node charges each member v as the span values nxt..v, in one step
-        skipping = narrow and count_skips
-        nxt = span.start
+            values = classes.members(common)
         prior = x[:d] if distinct_entries else ()
         # counter.n, not a local: the nodes below each yield advance it
         if common is not None and not distinct_image and len(rows) == 1 and rows[0][2] == 1:
@@ -472,10 +432,8 @@ def _mono_walk(by_top, x, classes, counter, colour=None, distinct_entries=True,
             # left: a candidate only needs a positive value of that colour
             ((base, top, _, _),) = rows
             for v in values:
-                counter.n += v - nxt + 1 if skipping else 1
-                nxt = v + 1
+                counter.n += 1
                 if counter.n > limit:
-                    counter.n = limit + 1
                     raise _BudgetHit
                 if v in prior:
                     continue
@@ -484,14 +442,10 @@ def _mono_walk(by_top, x, classes, counter, colour=None, distinct_entries=True,
                     continue
                 x[d] = v
                 yield state
-            if skipping:
-                counter.skip(span.stop - nxt)
             return
         for v in values:
-            counter.n += v - nxt + 1 if skipping else 1
-            nxt = v + 1
+            counter.n += 1
             if counter.n > limit:
-                counter.n = limit + 1
                 raise _BudgetHit
             if v in prior:
                 continue
@@ -520,8 +474,6 @@ def _mono_walk(by_top, x, classes, counter, colour=None, distinct_entries=True,
             else:
                 x[d] = v
                 yield got, seen_by
-        if skipping:
-            counter.skip(span.stop - nxt)
 
     for common, _ in _backtrack(len(by_top), children, (colour, {})):
         yield common
@@ -543,7 +495,7 @@ def find_monochromatic(A, col, cfg, workers=1):
         return SearchResult(None, 0, True)  # a zero row can never take a positive value
     by_top = _compile_rows(((r, r.key()) for r in A.rows), A.width)
     x = [0] * A.width
-    classes = _Classes(col.colour, range(cfg.min_entry, cfg.variable_bound + 1))
+    classes = _Classes(col.colour, range(cfg.min_entry, cfg.variable_bound + 1), counter)
     colour, exhausted = _first_leaf(_mono_walk(
         by_top, x, classes, counter, distinct_entries=cfg.distinct_entries,
         distinct_image=cfg.distinct_image))
@@ -732,7 +684,7 @@ def find_dominated_assignment(A, B, x, y_bound, node_budget=None):
         return SearchResult(None, 0, True)
     by_top = _compile_rows(((r, None) for r in B.rows), B.width)
     y = [0] * B.width
-    inside = _Classes(target.__contains__, range(1, y_bound + 1))
+    inside = _Classes(target.__contains__, range(1, y_bound + 1), counter)
     # a value's colour is whether the target holds it; every row must take a held value
     found, exhausted = _first_leaf(_mono_walk(by_top, y, inside, counter, colour=True,
                                               distinct_entries=False))
@@ -834,13 +786,12 @@ def check_separation(col, a, b, prefix_len, value_bound, node_budget=None):
         # one side's image is empty at this prefix length, so no witness
         return SeparationReport("none-within-bounds", None, None, 0)
     a_rows, b_rows = _mt_systems((a, b), prefix_len)
-    classes = _Classes(col.colour, range(1, value_bound + 1))
+    classes = _Classes(col.colour, range(1, value_bound + 1), counter)
     x, y = [0] * prefix_len, [0] * prefix_len
     # both images are nonempty at this prefix length, so every complete prefix has a colour
     try:
-        for colour in _mono_walk(a_rows, x, classes, counter, reserved=col.reserved,
-                                 count_skips=False):
-            for _ in _mono_walk(b_rows, y, classes, counter, colour, count_skips=False):
+        for colour in _mono_walk(a_rows, x, classes, counter, reserved=col.reserved):
+            for _ in _mono_walk(b_rows, y, classes, counter, colour):
                 return SeparationReport(
                     "witness", None, {"x": tuple(x), "y": tuple(y), "colour": colour}, counter.n
                 )
@@ -869,7 +820,7 @@ def translate_witness(col, a, prefix_len, b_bound, x_bound, node_budget=None, wo
     by_top = [fs + [(lower + ((prefix_len, den),), top, den, tag) for lower, top, den, tag in mt]
               for fs, mt in zip(fs_rows, a_rows)]
     x = [0] * (prefix_len + 1)
-    classes = _Classes(col.colour, range(1, x_bound + 1))
+    classes = _Classes(col.colour, range(1, x_bound + 1), counter)
     for b in range(1, b_bound + 1):
         x[prefix_len] = b
         colour, exhausted = _first_leaf(_mono_walk(by_top, x, classes, counter))

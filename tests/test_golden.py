@@ -46,11 +46,13 @@ CASES.update({
     "separate-budget": ["separate", "--a", "1", "--b", "2,1", "--colouring",
                         "notrapid:7:1,2", "--prefix", "2", "--bound", "3000",
                         "--budget", "2000"],
-    # separate-none's walk, which ends at 3,767 nodes, so this budget is never reached
+    # separate-none's walk, which ends at 9,000 nodes: a budget equal to the
+    # count answers in full
     "separate-budget-unreached": ["separate", "--a", "1", "--b", "2,1", "--colouring",
                                   "notrapid:7:1,2", "--prefix", "2", "--bound", "3000",
-                                  "--budget", "5000"],
-    # stops past the 2,401 reserved values at depth 0, inside nodes whose colour is known
+                                  "--budget", "9000"],
+    # stops past the 2,401 reserved values at depth 0, inside the node of x_0 = 2402,
+    # whose colour is known, in the step that colours 1..2403 ahead of its walk
     "separate-budget-deep": ["separate", "--a", "1", "--b", "2,1", "--colouring",
                              "notrapid:7:1,2", "--prefix", "2", "--bound", "3000",
                              "--budget", "3500"],
@@ -66,7 +68,7 @@ CASES.update({
                        "--prefix", "2", "--bbound", "10", "--xbound", "20"],
     "translate-budget": ["translate-search", "--a", "2,1", "--colouring", "mod:3",
                          "--prefix", "3", "--bbound", "10", "--xbound", "12",
-                         "--budget", "200"],
+                         "--budget", "100"],
     "force-forced": ["force", "--family", "ap:3", "--colours", "2", "--nmax", "12"],
     "force-not-forced": ["force", "--family", "schur", "--colours", "3", "--nmax", "13"],
     "force-budget": ["force", "--family", "schur", "--colours", "2", "--nmax", "8",

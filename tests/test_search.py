@@ -32,6 +32,7 @@ from ripr.search import (
     _BudgetHit,
     _Classes,
     _Counter,
+    SeparationReport,
     _compile_rows,
     _mt_systems,
     _as_int_value,
@@ -149,7 +150,7 @@ def test_search_worker_counts_agree():
         assert other.witness.assignment == base.witness.assignment
         assert other.exhausted == base.exhausted
     f4 = finite_sums_matrix(4)
-    for budget, nodes in ((None, 132), (10, 11)):
+    for budget, nodes in ((None, 106), (10, 11)):
         cfg = SearchConfig(60, node_budget=budget)
         base = find_monochromatic(f4, col, cfg)
         assert base.nodes == nodes
@@ -302,18 +303,52 @@ def test_translate_rational_coefficients_match_brute_oracle():
     assert res.witness == (3, (6, 3), 0)
 
 
-def _every_budget(run):
-    """run(budget) at every budget from 0 to one past the unbudgeted node count."""
-    full = run(None)
+def _stopped(res, budget):
+    """Whether res is a budget stop at node budget + 1, with no witness."""
+    if isinstance(res, SeparationReport):
+        return (res.outcome, res.witness, res.nodes) == ("budget", None, budget + 1)
+    return (res.witness, res.nodes, res.exhausted) == (None, budget + 1, False)
+
+
+def _budget_sweep(run):
+    """Check run(budget) against the budget contract; return run(None).
+
+    A budget b below the full count stops the search at node b + 1 with no
+    witness, and budgets of the full count, one more and ten times it give the
+    full report.  Up to 3,000 nodes every budget is tried; past that, every
+    budget below 3,000 and each within 50 of the full count or of either end
+    of a colour-ahead step of the store.
+    """
+    steps = []
+    charge = _Counter.charge
+
+    def recording(counter, k):
+        steps.append((counter.n, counter.n + k))
+        charge(counter, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Counter, "charge", recording)
+        full = run(None)
+    n = full.nodes
     # every case here takes a few thousand nodes at most: a walk that lost its
     # bounds fails here instead of running a budget per node
-    assert full.nodes <= 20000, full
-    return [run(budget) for budget in range(full.nodes + 2)] + [full]
+    assert n <= 20000, full
+    budgets = set(range(min(n, 3000)))
+    for edge in [n] + [e for step in steps for e in step]:
+        budgets.update(range(max(edge - 50, 0), min(edge + 51, n)))
+    for budget in sorted(budgets):
+        assert _stopped(run(budget), budget), (budget, full)
+    for budget in (n, n + 1, 10 * n):
+        assert run(budget) == full
+    return full
 
 
 def test_class_candidates_match_span_walk(monkeypatch):
-    # The oracle is the walk that tries every span value at every depth: with no
-    # depth marked as holding the unit row x_d, no search narrows its candidates.
+    # Every case against its brute-force oracle, which colours each value
+    # itself and shares no class store with the walk.  Two other walks must
+    # agree: the one that also checks x_d's own row on class members gives the
+    # same report, nodes included, and the span walk, with no depth marked as
+    # holding the unit row x_d, the same witness.
     half = Fraction(1, 2)
     mono = [
         (finite_sums_matrix(3), mod_colouring(3),
@@ -378,7 +413,6 @@ def test_class_candidates_match_span_walk(monkeypatch):
         # a masked span, b past it
         (mod_colouring(4), (1,), 2, 80, 66),
     ]
-
     separate = [
         (mod_colouring(3), (1,), (2, 1), 2, 12),
         (mod_colouring(3), (2, 1), (1,), 2, 12),
@@ -386,39 +420,45 @@ def test_class_candidates_match_span_walk(monkeypatch):
         (_mod3_reserving(0), (1,), (2, 1), 2, 12),
     ]
 
-    def runs():
-        out = []
-        for col, a, b, length, bound in separate:
-            out.append(_every_budget(
-                lambda budget: check_separation(col, a, b, length, bound, budget)))
-        for A, col, cfg in mono:
-            out.append(_every_budget(lambda budget: find_monochromatic(A, col, SearchConfig(
-                cfg.variable_bound, cfg.min_entry, cfg.distinct_entries, cfg.distinct_image,
-                node_budget=budget))))
-        for A, B, x, y_bound in dominate:
-            out.append(_every_budget(
-                lambda budget: find_dominated_assignment(A, B, x, y_bound, budget)))
-        for col, a, length, b_bound, x_bound in translate:
-            out.append(_every_budget(
-                lambda budget: translate_witness(col, a, length, b_bound, x_bound, budget)))
-        return out
+    def assignment(res):
+        return res.witness.assignment if res.witness else None
 
-    got = runs()
-    # Narrowed but checking every row, the unit row included: every search,
-    # separation too, must answer as when a class member skips its own row.
+    # (run(budget), the witness of a result, the oracle's witness)
+    cases = []
+    for col, a, b, length, bound in separate:
+        cases.append((lambda budget, col=col, a=a, b=b, length=length, bound=bound:
+                      check_separation(col, a, b, length, bound, budget),
+                      lambda rep: rep.witness, _brute_separation(col, a, b, length, bound)))
+    for A, col, cfg in mono:
+        cases.append((lambda budget, A=A, col=col, cfg=cfg: find_monochromatic(
+            A, col, SearchConfig(cfg.variable_bound, cfg.min_entry, cfg.distinct_entries,
+                                 cfg.distinct_image, node_budget=budget)),
+            assignment, _brute_least(A, col, cfg)))
+    for A, B, x, y_bound in dominate:
+        cases.append((lambda budget, A=A, B=B, x=x, y_bound=y_bound:
+                      find_dominated_assignment(A, B, x, y_bound, budget),
+                      assignment, _brute_dominated(A, B, x, y_bound)))
+    for col, a, length, b_bound, x_bound in translate:
+        cases.append((lambda budget, col=col, a=a, length=length, b_bound=b_bound,
+                      x_bound=x_bound: translate_witness(col, a, length, b_bound, x_bound, budget),
+                      lambda res: res.witness, _brute_translate(col, a, length, b_bound, x_bound)))
+
+    got = []
+    for run, witness, want in cases:
+        full = _budget_sweep(run)
+        assert witness(full) == want, full
+        got.append(full)
+    assert any(want is not None for _, _, want in cases)
+    assert any(want is None for _, _, want in cases)
+    # Narrowed but checking every row, the unit row included: every search
+    # must answer as when a class member skips its own row.
     unit_rows = search_module._unit_rows
     monkeypatch.setattr(search_module, "_unit_rows", lambda by_top: [
         None if rest is None else rows for rows, rest in zip(by_top, unit_rows(by_top))])
-    assert runs() == got
-    # Separation counts only the class members it tries, so its nodes are not
-    # those of the span walk; the counted searches must match it exactly.
+    assert [run(None) for run, _, _ in cases] == got
     monkeypatch.setattr(search_module, "_unit_rows", lambda by_top: [None] * len(by_top))
-    want = runs()
-    assert got[len(separate):] == want[len(separate):]
-    for mine, span in zip(got[:len(separate)], want[:len(separate)]):
-        assert (mine[-1].outcome, mine[-1].witness) == (span[-1].outcome, span[-1].witness)
-    witnesses = [r[-1].witness is not None for r in got]
-    assert any(witnesses) and not all(witnesses)
+    for (run, witness, _), full in zip(cases, got):
+        assert witness(run(None)) == witness(full)
 
 
 def _fives():
@@ -433,7 +473,7 @@ def test_class_members_are_not_coloured_again(monkeypatch):
     monkeypatch.setattr(Colouring, "colour", lambda self, v: calls.append(v) or colour(self, v))
     res = find_monochromatic(finite_sums_matrix(3), mod_colouring(3),
                              SearchConfig(40, distinct_entries=True))
-    assert (res.witness.assignment, res.nodes) == ((3, 6, 9), 98)
+    assert (res.witness.assignment, res.nodes) == ((3, 6, 9), 75)
     assert len(calls) <= 72  # 99 when every row value is coloured
 
 
@@ -460,22 +500,25 @@ def test_sparse_class_walk_colours_about_its_budget(monkeypatch):
     got = runs()
     monkeypatch.setattr(search_module, "_unit_rows", lambda by_top: [None] * len(by_top))
     want = runs()
-    assert got[0::2] == want[0::2]
+    assert [(r.witness, r.exhausted) for r in got[0::2]] == [(r.witness, r.exhausted)
+                                                           for r in want[0::2]]
     assert got[0].nodes == got[2].nodes == budget + 1 and not got[0].exhausted
-    # each node colours its row values; the walk ahead adds about one value per node
-    assert got[1] <= want[1] + budget + 2 and got[3] <= want[3] + budget + 2
+    # the store charges each value before it colours it, so a budget bounds the
+    # values coloured: the candidates' own values are among the store's
+    assert got[1] <= budget + 1 and got[3] <= budget + 1
 
 
 @pytest.mark.parametrize("A, col, cfg, peak_bytes", [
     # a 65th colour stops the masks: classes filed at 8 bytes a value
-    (schur_matrix(), mod_colouring(1000), SearchConfig(10**5, node_budget=3 * 10**5),
+    (schur_matrix(), mod_colouring(1000), SearchConfig(10**5, node_budget=150_000),
      1_121_000),
     # 7 colours: masks at 7 bits a value
     (finite_sums_matrix(3), mod_colouring(7),
      SearchConfig(10**6, distinct_entries=True, node_budget=3 * 10**5), 2_700_000),
 ])
 def test_class_store_memory(A, col, cfg, peak_bytes):
-    # Both searches colour about 3 * 10^5 values before the budget stops them.
+    # The first search colours its span of 10^5 values and the second about
+    # 3 * 10^5 values before the budget stops them.
     # The bounds are 1.1 times the peaks of a store that filed every class as
     # an array (1,019,799 and 2,455,304 bytes under CPython 3.11), which the
     # masks must not exceed.
@@ -495,7 +538,8 @@ def test_class_walk_colours_only_up_to_its_first_member():
     coloured = []
     one = Colouring("one", lambda x: coloured.append(x) or 0)
     res = find_monochromatic(schur_matrix(), one, SearchConfig(10**9))
-    assert (res.witness.assignment, res.nodes) == ((1, 1), 2)
+    # x_0 = 1, then the values 1 and 2 coloured for x_1 = 1 and its shift 1 + 1
+    assert (res.witness.assignment, res.nodes) == ((1, 1), 4)
     assert len(coloured) <= 4
     coloured.clear()
     res = translate_witness(one, (2, 1), 2, 1, x_bound=10**9)
@@ -512,11 +556,11 @@ def test_class_members_see_what_another_walk_files(reached):
         want = [v for v in span if v % 3 == 0]
         counter = _Counter(None)  # a budget far past the span: no walk stops early
         for taken in range(4):
-            classes = _Classes(lambda v: v % 3, span)
+            classes = _Classes(lambda v: v % 3, span, counter)
             classes._reach(reached)
-            outer = iter(classes.members(0, counter))
+            outer = iter(classes.members(0))
             got_outer = [next(outer) for _ in range(taken)]
-            inner = iter(classes.members(0, counter))
+            inner = iter(classes.members(0))
             got_inner = []
             for _ in want:
                 # the inner walk takes two members for every one the outer takes
@@ -525,16 +569,29 @@ def test_class_members_see_what_another_walk_files(reached):
             assert got_inner == got_outer == want, (span, reached, taken)
             # once the span is reached, a walk reads the filed class itself
             assert classes.reached == span.stop
-            assert list(classes.members(0, counter)) == want
+            assert list(classes.members(0)) == want
+
+
+def _walk_within(classes, c, shifts, widest):
+    """The values classes.walk yields, each charged as one node as a search
+    node charges it, up to a budget stop."""
+    got = []
+    try:
+        for v in classes.walk(c, shifts, widest):
+            classes.counter.charge(1)
+            got.append(v)
+    except _BudgetHit:
+        pass
+    return got
 
 
 @pytest.mark.parametrize("colours", [3, 70])
 def test_masked_class_walk_matches_a_member_scan(colours):
-    # walk(c, counter, shifts, widest) against the members it must yield,
-    # within each budget: values of colour c whose shifted values have colour c
-    # too.  Shifts past widest, the largest the rows were thought to reach,
-    # still terminate; 70 colours turn the masks into filed classes midway,
-    # when the 65th class, first met at 67, reaches 67 + 512.
+    # walk(c, shifts, widest) against the members it must yield, within each
+    # budget: values of colour c whose shifted values have colour c too.
+    # Shifts past widest, the largest the rows were thought to reach, still
+    # terminate; 70 colours turn the masks into filed classes midway, when
+    # the 65th class, first met at 67, reaches 67 + 512.
     def colour(v):
         return v % colours
 
@@ -545,21 +602,19 @@ def test_masked_class_walk_matches_a_member_scan(colours):
             want = [v for v in span
                     if colour(v) == c and all(colour(v + b) == c for b in shifts)]
             for budget in (0, 5, 40, 10**7):
-                classes, counter = _Classes(colour, span), _Counter(budget)
-                got = []
-                for v in classes.walk(c, counter, shifts, widest):
-                    # charge as the caller does: each value with the span values before it
-                    counter.n = v - span.start + 1
-                    if counter.n > budget:
-                        break
-                    got.append(v)
-                assert got == [v for v in want if v - span.start < budget], (c, shifts, budget)
-                # colouring ahead stops at the budget window plus the largest shift,
-                # or plus widest once the window ends the span
-                far = max(shifts + [widest]) if budget >= len(span) else max(shifts, default=0)
-                far *= len(span) > 64
-                assert classes.reached <= min(span.stop, span.start + budget + 1) + far
-                if colours == 70 and budget >= len(span):
+                classes = _Classes(colour, span, _Counter(budget))
+                got = _walk_within(classes, c, shifts, widest)
+                n = classes.counter.n
+                assert got == want[:len(got)] and n <= budget + 1, (c, shifts, budget)
+                assert got == want or n == budget + 1
+                # the store charges each value it colours, and colours no further
+                # than the span plus the larger of widest and the largest shift
+                assert classes.reached - span.start <= min(n, budget)
+                far = max(shifts + [widest]) * (len(span) > 64)
+                assert classes.reached <= span.stop + far
+                if n <= budget and (classes.masks is not None or len(span) <= 64):
+                    assert n == len(got) + classes.reached - span.start
+                if colours == 70 and budget >= 10 * len(span):
                     assert classes.masks is None
 
 
@@ -569,41 +624,24 @@ def test_masked_class_walk_matches_a_member_scan(colours):
     lambda v: v % 97,  # the 65th class passes 512 values: the classes are filed midway
 ])
 def test_class_walks_match_a_member_scan(colour):
-    # Both walks over stores with more than 64 classes, against a scan of the
-    # class.  A member walk (count_members, as separation runs it): the caller
-    # charges one node per value yielded and the walk one per member it leaves
-    # out, so a budget stops at the same member, one node past itself, as a
-    # walk that tried every member, and colouring stops in the step where the
-    # members pass the budget.  A counted walk: the caller charges each value
-    # with the span values before it.  The last class of range(3, 1495) has
-    # members whose shifts pass the span's end; the class of span[64] is the
-    # 65th, whose growth files v % 97 midway.
+    # Walks over stores with more than 64 classes, against a scan of the
+    # class: a budget stops the walk one node past itself, with the values
+    # yielded before it those of the scan.  The last class of range(3, 1495)
+    # has members whose shifts pass the span's end; the class of span[64] is
+    # the 65th, whose growth files v % 97 midway.
     for span in (range(3, 60), range(3, 1495)):
         for at, shifts in [(0, []), (1, [5]), (700, [4]), (-1, [3]), (64, []),
                            (2, [40, 333])]:
             c = colour(span[at % len(span)])
-            members = [v for v in span if colour(v) == c]
-            passing = [v for v in members if all(colour(v + b) == c for b in shifts)]
+            passing = [v for v in span
+                       if colour(v) == c and all(colour(v + b) == c for b in shifts)]
             for budget in (0, 7, 100, 10**7):
-                classes, counter = _Classes(colour, span), _Counter(budget)
-                got = []
-                with pytest.raises(_BudgetHit) if budget < len(members) else nullcontext():
-                    for v in classes.walk(c, counter, shifts, 8 * len(span), True):
-                        counter.skip(1)
-                        got.append(v)
-                assert got == [v for v in members[:budget] if v in passing], (span, c, budget)
-                assert counter.n == min(len(members), budget + 1)
-                if budget < len(members):
-                    hit = members[budget] - span.start + 1
-                    assert classes.reached <= span.start + 4 * hit + max(shifts, default=0)
-                classes, counter = _Classes(colour, span), _Counter(budget)
-                got = []
-                for v in classes.walk(c, counter, shifts, 8 * len(span)):
-                    counter.n = v - span.start + 1
-                    if counter.n > budget:
-                        break
-                    got.append(v)
-                assert got == [v for v in passing if v - span.start < budget], (span, c, budget)
+                classes = _Classes(colour, span, _Counter(budget))
+                got = _walk_within(classes, c, shifts, 8 * len(span))
+                n = classes.counter.n
+                assert got == passing[:len(got)] and n <= budget + 1, (span, c, budget)
+                assert got == passing or n == budget + 1, (span, c, budget)
+                assert classes.reached - span.start <= min(n, budget)
 
 
 def _compiled_values(by_top, x):
@@ -922,27 +960,29 @@ def _mono_table_search(i):
 
 
 @pytest.mark.parametrize("run, nodes", [
-    (lambda: _mono_table_search(0), 530700),
-    (lambda: _mono_table_search(1), 561300),
-    (lambda: _mono_table_search(2), 530700),
+    (lambda: _mono_table_search(0), 3046),
+    (lambda: _mono_table_search(1), 3148),
+    (lambda: _mono_table_search(2), 3014),
     (lambda: find_dominated_assignment(
         finite_sums_matrix(7), FiniteMatrix.from_dense([[1, 0], [0, 1], [1, 1], [1, 2]]),
-        [4**i for i in range(7)], 5461, 10**7), 699008),
+        [4**i for i in range(7)], 5461, 10**7), 12981),
     (lambda: translate_witness(table_colouring(_mono_tables()[0]), (2, 1), 3, 20, 60, 10**7),
-     81840),
+     12501),
 ], ids=["mono-0", "mono-1", "mono-2", "dominate", "translate"])
 def test_matrix_mono_pinned_benchmark_answers(run, nodes):
-    # the matrix-mono benchmark requests at seed 0, which walk most of their
-    # spans as counted skips; the benchmark itself does not compare nodes
+    # the matrix-mono benchmark requests at seed 0; the benchmark itself does
+    # not compare nodes
     res = run()
     assert (res.witness, res.nodes, res.exhausted) == (None, nodes, True)
 
 
 def test_mt_separate_pinned_benchmark_shape():
     # the mt-separate benchmark request at a smaller value bound; the
-    # benchmark's correct flag does not compare nodes
+    # benchmark's correct flag does not compare nodes.  Every x_0 in 1..5000 is
+    # a candidate, no x_1 survives the masks, and the store colours 1..10000:
+    # the span plus its widest shift x_0
     rep = check_separation(negabase_gap_colouring(7, (1, 2)), (1,), (2, 1), 2, 5000)
-    assert (rep.outcome, rep.witness, rep.nodes) == ("none-within-bounds", None, 8339)
+    assert (rep.outcome, rep.witness, rep.nodes) == ("none-within-bounds", None, 15000)
 
 
 def test_dominated_assignment_positive_case():
@@ -1068,30 +1108,50 @@ def _mod3_reserving(colour):
     return Colouring("mod3-reserved", lambda v: v % 3, reserved={colour})
 
 
-@pytest.mark.parametrize("col, a, b, length, bound, outcome, nodes", [
-    (mod_colouring(2), (1,), (2, 1), 2, 10, "witness", 12),
-    (mod_colouring(3), (Fraction(1, 2),), (2, 1), 2, 14, "witness", 51),
-    (mod_colouring(3), (1,), (1, -1), 2, 12, "witness", 54),
-    (mod_colouring(3), (2, 1), (1,), 2, 12, "witness", 48),  # the pinned b-side narrows
-    (digit_profile_colouring(5), (1,), (2, 1), 2, 30, "none-within-bounds", 62),
-    (_mod3_reserving(0), (1,), (2, 1), 2, 12, "none-within-bounds", 44),
-    (_mod3_reserving(1), (2, 1), (3, 1), 2, 8, "witness", 7),
+@pytest.mark.parametrize("col, a, b, length, bound, outcome", [
+    (mod_colouring(2), (1,), (2, 1), 2, 10, "witness"),
+    (mod_colouring(3), (Fraction(1, 2),), (2, 1), 2, 14, "witness"),
+    (mod_colouring(3), (1,), (1, -1), 2, 12, "witness"),
+    (mod_colouring(3), (2, 1), (1,), 2, 12, "witness"),  # the pinned b-side narrows
+    (digit_profile_colouring(5), (1,), (2, 1), 2, 30, "none-within-bounds"),
+    (_mod3_reserving(0), (1,), (2, 1), 2, 12, "none-within-bounds"),
+    (_mod3_reserving(1), (2, 1), (3, 1), 2, 8, "witness"),
     # spans past 64 values, whose narrowed nodes test their shift rows on masks
-    (digit_profile_colouring(5), (1,), (2, 1), 3, 120, "none-within-bounds", 278),
-    (negabase_gap_colouring(7, (1, 2)), (1,), (2, 1), 2, 2600, "none-within-bounds", 2853),
-    (mod_colouring(3), (2, 1), (1,), 2, 100, "witness", 2320),
+    (digit_profile_colouring(5), (1,), (2, 1), 3, 120, "none-within-bounds"),
+    (negabase_gap_colouring(7, (1, 2)), (1,), (2, 1), 2, 2600, "none-within-bounds"),
+    (mod_colouring(3), (2, 1), (1,), 2, 100, "witness"),
 ])
-def test_separation_at_every_budget(col, a, b, length, bound, outcome, nodes):
-    # Separation counts only the class members it tries, not the values it
-    # skips, so no other test pins where its budget stops: below the full
-    # count a budget stops one node past itself, from it on the answer is whole.
-    full = check_separation(col, a, b, length, bound)
-    assert (full.outcome, full.nodes) == (outcome, nodes)
-    for budget in range(nodes):
-        rep = check_separation(col, a, b, length, bound, budget)
-        assert (rep.outcome, rep.witness, rep.nodes) == ("budget", None, budget + 1)
-    for budget in (nodes, nodes + 1, 10 * nodes):
-        assert check_separation(col, a, b, length, bound, budget) == full
+def test_separation_at_every_budget(col, a, b, length, bound, outcome, monkeypatch):
+    # The budget contract (see _budget_sweep), and the witness of the brute
+    # oracle.  Past its reach, bound ** length over 10^4, the witness of the
+    # span walk, which marks no unit row and so never walks the class store.
+    full = _budget_sweep(lambda budget: check_separation(col, a, b, length, bound, budget))
+    assert full.outcome == outcome
+    if bound ** length <= 10**4:
+        assert full.witness == _brute_separation(col, a, b, length, bound)
+    else:
+        monkeypatch.setattr(search_module, "_unit_rows", lambda by_top: [None] * len(by_top))
+        span = check_separation(col, a, b, length, bound)
+        assert (span.outcome, span.witness) == (full.outcome, full.witness)
+
+
+def test_nodes_count_candidates_and_coloured_values():
+    # Schur's x_0, x_1, x_0 + x_1 under v % 3 on [1, 70], a masked span:
+    # - candidates: x_0 = 1, 2, 3 at depth 0; under x_0 = 1 and 2 the masks
+    #   leave no x_1, since x_0 + x_1 would have colour 2c, and under x_0 = 3
+    #   x_1 = 3 is the first: 4;
+    # - coloured: x_0 = 1's walk colours 1..140, the span plus its widest
+    #   shift 70, in steps of 2, 3, 12, 48 and 75 values: 140.
+    res = find_monochromatic(schur_matrix(), mod_colouring(3), SearchConfig(70))
+    assert (res.witness.assignment, res.nodes) == ((3, 3), 4 + 140)
+    # x_0, x_1, x_0 + x_1 against 2 y_0 + y_1 under v % 2 on [1, 10], classes
+    # filed (at most 64 values):
+    # - candidates: x_0 = 1, 2; under x_0 = 1 its class, 1, 3, 5, 7, 9, of
+    #   which 1 repeats x_0 and the rest give even sums; under x_0 = 2, 2 and
+    #   then 4; y_0 = 1, tried alone, and y_1 = 1, 2: 2 + 5 + 2 + 3 = 12;
+    # - coloured: x_0 = 1's walk colours 1..10 in steps of 1, 3 and 6: 10.
+    rep = check_separation(mod_colouring(2), (1,), (2, 1), 2, 10)
+    assert (rep.witness, rep.nodes) == ({"x": (2, 4), "y": (1, 2), "colour": 0}, 12 + 10)
 
 
 def test_masked_separation_matches_brute_oracle():
